@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -12,8 +13,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
+import calibration  # noqa: E402
 import pytest  # noqa: E402
 import run  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 from tracer import Span, Tracer, layer_metrics, self_times  # noqa: E402
 
@@ -134,9 +137,25 @@ def test_poset_inputs_are_bipartite():
         assert graph.bipartition(graph.parse_graph(job.text)) is not None
 
 
-def test_straddling_job_counts_by_its_share_of_the_window():
-    assert run.jobs_per_s([1.0, 1.0, 2.0], 3.0) == pytest.approx(2.5 / 3.0)
-    assert run.jobs_per_s([1.0, 1.0], 5.0) == pytest.approx(1.0)
+def test_worker_stops_only_between_rounds(tmp_path):
+    args = argparse.Namespace(
+        workload="dimension", seed=2, seconds=1e-6, rounds=3, trace=False, out=str(tmp_path / "r.json")
+    )
+    records = worker.run(args)["jobs"]
+    assert [r["id"] for r in records] == [f"0-{s.name}" for s in workloads.dimension_round()]
+
+
+def test_digests_are_checked_per_job_or_per_shape():
+    records = [
+        {"id": "0-C4", "digest": "a", "error": None},
+        {"id": "1-C4", "digest": "b", "error": None},
+        {"id": "2-C4", "digest": "a", "error": None},
+    ]
+    reference = {"0-C4": "a", "1-C4": "a", "C4": "a"}
+    assert run.failures(records, "analyze", reference) == ["1-C4: digest b != reference a"]
+    assert run.digest_checked(records, "analyze", reference) == 2
+    assert run.failures(records, "dimension", reference) == ["1-C4: digest b != reference a"]
+    assert run.digest_checked(records, "dimension", reference) == 3
 
 
 def test_tail_leaves_ten_jobs_beyond_it():
@@ -145,3 +164,14 @@ def test_tail_leaves_ten_jobs_beyond_it():
     assert sum(t > value for t in times) == 10
     assert (value, percentile) == (40.0, 80)
     assert run.tail([1.0, 3.0, 2.0]) == (3.0, 100)
+
+
+def test_job_times_are_scaled_by_the_calibration_beside_them(tmp_path):
+    reference = calibration.REFERENCE_S
+    assert run.scaled_seconds({"seconds": 0.3, "calibration_s": reference}) == pytest.approx(0.3)
+    # On a machine running at half speed the calibration takes twice as long.
+    assert run.scaled_seconds({"seconds": 0.3, "calibration_s": 2 * reference}) == pytest.approx(0.15)
+    args = argparse.Namespace(
+        workload="dimension", seed=2, seconds=None, rounds=1, trace=False, out=str(tmp_path / "r.json")
+    )
+    assert all(r["calibration_s"] > 0 for r in worker.run(args)["jobs"])

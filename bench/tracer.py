@@ -20,7 +20,10 @@ import sys
 from dataclasses import dataclass
 from time import perf_counter
 
-# Traced functions as "module.function"; the span carries the same name.
+PACKAGE = "basiccovers"
+
+# Traced functions as "module.function" of PACKAGE; the span carries the
+# same name.
 TRACED = (
     "covers.count_basic_covers",
     "covers.enumerate_basic_covers",
@@ -110,17 +113,17 @@ class Tracer:
 
     # --- installation -----------------------------------------------------
 
-    def install(self, package: str = "basiccovers") -> None:
-        root = importlib.import_module(package)
+    def install(self) -> None:
+        root = importlib.import_module(PACKAGE)
         for info in pkgutil.iter_modules(root.__path__):
-            importlib.import_module(f"{package}.{info.name}")
+            importlib.import_module(f"{PACKAGE}.{info.name}")
         modules = [
             m for name, m in sys.modules.items()
-            if m is not None and (name == package or name.startswith(package + "."))
+            if m is not None and (name == PACKAGE or name.startswith(PACKAGE + "."))
         ]
         for target in TRACED:
             module_name, attr = target.split(".")
-            original = getattr(sys.modules[f"{package}.{module_name}"], attr)
+            original = getattr(sys.modules[f"{PACKAGE}.{module_name}"], attr)
             wrapper = self._wrap(original, target)
             for module in modules:
                 if module.__dict__.get(attr) is original:

@@ -3,13 +3,16 @@ closed loop, one graph after another, checks every answer, and writes the
 per-job records (and, when traced, the spans and per-layer metrics) as
 JSON.
 
-    python3 bench/worker.py --workload analyze --seed 1 --seconds 30 --out r.json
+    python3 bench/worker.py --workload analyze --seed 1 --seconds 22 --out r.json
     python3 bench/worker.py --workload poset --seed 1 --rounds 1 --trace --out t.json
 
-``--seconds`` bounds the busy time of the loop (the time spent inside jobs);
-``--rounds`` bounds the number of rounds of the workload's shapes.  The
-benchmark's own checks run between jobs, outside the timed region and
-outside any span.
+The loop runs whole rounds of the workload's shapes: it stops at the round
+boundary nearest to ``--seconds`` of busy time (the time spent inside jobs,
+at the reference machine speed), or after ``--rounds`` rounds.  Between
+jobs, outside the timed region and outside any span, run the benchmark's
+own checks and the calibration search that gives the machine's speed
+(``calibration.py``); each job records the mean of the calibrations just
+before and just after it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from pathlib import Path
 from time import perf_counter
 
 import workloads
+from calibration import calibrate, scaled
 from tracer import Tracer, layer_metrics
 
 from basiccovers import asl, cli, gdim, poset, projection
@@ -174,6 +178,10 @@ def check_poset(outcome: Outcome) -> str | None:
     return None
 
 
+# The E8 fixture, under its own labels; its counting calls repeat half their
+# (graph, level) pairs.
+E8_JOB = "0-E8"
+
 RUNNERS = {"analyze": run_analyze, "dimension": run_dimension, "poset": run_poset}
 CHECKS = {"analyze": check_analyze, "dimension": check_dimension, "poset": check_poset}
 
@@ -209,11 +217,18 @@ def run(args) -> dict:
     if tracer is not None:
         tracer.install()
     records = []
+    last_round = 0
     busy = 0.0
+    speed_before = calibrate()
     try:
         for job in stream:
-            if args.seconds is not None and busy >= args.seconds:
-                break
+            # Stop only between rounds, so a run measures whole rounds, and
+            # at the boundary nearest to --seconds, so the round count does
+            # not flip when a round's time sits near a divisor of it.
+            if job.round != last_round:
+                if args.seconds is not None and busy >= args.seconds - busy / job.round / 2:
+                    break
+                last_round = job.round
             call = (job,)
             if args.workload == "analyze":
                 job_dir.mkdir(parents=True, exist_ok=True)
@@ -230,16 +245,20 @@ def run(args) -> dict:
             seconds = perf_counter() - start
             if tracer is not None:
                 tracer.end_job()
-            busy += seconds
+            speed_after = calibrate()
+            speed = (speed_before + speed_after) / 2
+            busy += scaled(seconds, speed)
             if outcome is not None:
                 error = check(outcome)
             records.append({
                 "id": job.id,
                 "seconds": seconds,
+                "calibration_s": speed,
                 "digest": digest(outcome.answer) if outcome is not None else None,
                 "skipped": outcome.skipped if outcome is not None else 0,
                 "error": error,
             })
+            speed_before = speed_after
     finally:
         if tracer is not None:
             tracer.uninstall()
@@ -253,10 +272,8 @@ def run(args) -> dict:
     if tracer is not None:
         spans = tracer.spans
         result["layers"] = layer_metrics(spans)
-        result["per_job"] = {
-            record["id"]: layer_metrics(spans, record["id"])
-            for record in records
-        }
+        if any(record["id"] == E8_JOB for record in records):
+            result["e8_count_distinct_share"] = layer_metrics(spans, E8_JOB)["covers.count.distinct_share"]
         with open(Path(args.out).with_suffix(".spans.jsonl"), "w") as fh:
             for s in spans:
                 fh.write(json.dumps([s.job, s.name, s.start, s.end, s.parent, s.error]) + "\n")

@@ -9,6 +9,14 @@ job, never from the benchmark repeating itself.  Random shapes come from a
 constant shape seed for the same reason: drawn per seed, they would make
 the amount of work, and so every timing, depend on the seed.
 
+A run measures whole rounds only (``worker.py``), so the job median and
+the job rate do not depend on where the time window ends.  The tail job
+is the 11th-costliest of the run; with R rounds that is the
+``ceil(11 / R)``-th costliest shape, so each round below puts several
+shapes of similar cost just under its costliest one.  A run ends at the
+round boundary nearest to its length, and each round's length sits well
+inside the range for which that is the same boundary on every run.
+
 This module does not import ``basiccovers``; the program only ever
 receives the edge-list text built here.
 """
@@ -43,6 +51,7 @@ class Shape:
 @dataclass(frozen=True)
 class Job:
     id: str
+    round: int
     n: int
     edges: Edges
 
@@ -141,22 +150,20 @@ def random_bipartite(rng: random.Random, a: int, b: int, extra: int) -> Edges:
 
 
 def analyze_round(fixtures: dict[str, Edges]) -> list[Shape]:
-    """The nine bundled fixtures (verbatim in round 0) among 64 random
+    """The nine bundled fixtures (verbatim in round 0) among 32 random
     connected graphs, each a spanning tree on 5-8 vertices plus 0-3 chords,
-    four per (vertices, chords) pair.  The vertex count cycles fastest, so
-    the costly 8-vertex graphs are spread evenly and any prefix of the
-    round, wherever a run stops, has the same mix of sizes.
+    two per (vertices, chords) pair.
 
-    Job costs here run from a few milliseconds to two seconds (2-core Xeon
-    VM).  With few distinct graphs repeated round after round, the median
-    and tail jobs would jump between widely spaced costs from run to run;
-    73 distinct graphs per round, one or two rounds per run, keep the costs
-    dense."""
+    Times below are at the reference machine speed (``calibration.py``).
+    A round takes 10-12.7 s, so a 22 s run does two.  Jobs take from a few
+    milliseconds to 1.7 s (E8); the next costliest shapes, all 8-vertex
+    graphs with chords, take 0.7-1.4 s, and the tail of a two-round run
+    falls among them."""
     rng = random.Random(SHAPE_SEED)
     pairs = [(n, extra) for extra in (0, 1, 2, 3) for n in (5, 6, 7, 8)]
     randoms = [
         _shape(f"R{n}x{extra}.{k}", tree_plus_edges(rng, n, extra))
-        for k in range(4)
+        for k in range(2)
         for n, extra in pairs
     ]
     fixed = [_shape(name, edges, verbatim=True) for name, edges in fixtures.items()]
@@ -165,16 +172,18 @@ def analyze_round(fixtures: dict[str, Edges]) -> list[Shape]:
 
 def dimension_round() -> list[Shape]:
     """Graphs on 10-16 vertices where the free-parameter search cannot
-    stop at the matching-number ceiling (even cycles, ladders, a 3 x 4
+    stop at the matching-number ceiling (an even cycle, ladders, a 3 x 4
     grid, sparse G(n, p)), a path for the paired-domination subset search,
     and two whiskered graphs, which satisfy the weak square condition, for
     the Cohen-Macaulay report.
 
-    The median job must fall inside a group of jobs of similar cost, or it
-    jumps between groups from run to run: two light graphs (under 10 ms on
-    a 2-core Xeon VM), six middle ones (70-130 ms) and two heavy ones
-    (about 600 ms).  Paths of 18 or more vertices are left out: their
-    search time varies several-fold with the vertex labels."""
+    At the reference machine speed (``calibration.py``) a round takes
+    about 1.4 s, so a 22 s run does about fifteen rounds.  Its tail job is
+    then always one of the ladder L2x7's (0.75 s), the costliest shape by
+    a factor of five, and the median falls among the middle graphs of
+    90-140 ms.  Graphs whose search time varies with the vertex labels
+    are left out, so that the tail does not hang on the labels: C14 (by a
+    quarter), paths of 18 or more vertices (several-fold)."""
     rng = random.Random(SHAPE_SEED + 1)
     gnp = {n: sparse_gnp(rng, n, 2.5 / n) for n in (10, 11, 12, 13)}
     return [
@@ -186,35 +195,31 @@ def dimension_round() -> list[Shape]:
         _shape("L2x6", grid(2, 6)),
         _shape("G3x4", grid(3, 4)),
         _shape("P16", path(16)),
-        _shape("C14", cycle(14)),
         _shape("L2x7", grid(2, 7)),
     ]
 
 
 def poset_round() -> list[Shape]:
-    """Bipartite graphs whose cover posets have 4-86 elements: paths,
-    even cycles, whiskered paths, ladders and random bipartite graphs.
-    The shelling budget cuts the Cohen-Macaulay step short on C10, the
-    whiskered path on 5 + 5 vertices and one random graph; those steps
-    count as skipped."""
+    """Bipartite graphs whose cover posets have 3-86 elements: paths
+    P10-P16, even cycles, whiskered paths, ladders, 3-row grids and 28
+    random bipartite graphs, one per (sides, extra edges) pair.
+
+    At the reference machine speed (``calibration.py``) a round takes
+    10-12.2 s, so a 22 s run does two; P16 alone takes 2.6 s, and the
+    tail of the run falls among the next shapes (P15, WP7, C14, P14,
+    B6x7.0: 0.65-1.3 s).  The
+    shelling budget cuts the Cohen-Macaulay step short on some graphs
+    (C10, WP5-WP7, several random ones); those steps count as skipped."""
     rng = random.Random(SHAPE_SEED + 2)
-    shapes = [
-        _shape("P10", path(10)),
-        _shape("P12", path(12)),
-        _shape("P14", path(14)),
-        _shape("P16", path(16)),
-        _shape("C10", cycle(10)),
-        _shape("C12", cycle(12)),
-        _shape("C14", cycle(14)),
-        _shape("WP4", whiskered(path(4), 4)),
-        _shape("WP5", whiskered(path(5), 5)),
-        _shape("L2x4", grid(2, 4)),
-        _shape("L2x5", grid(2, 5)),
-        _shape("L2x6", grid(2, 6)),
-    ]
+    shapes = [_shape(f"P{n}", path(n)) for n in range(10, 17)]
+    shapes += [_shape(f"C{n}", cycle(n)) for n in (10, 12, 14)]
+    shapes += [_shape(f"WP{n}", whiskered(path(n), n)) for n in (4, 5, 6, 7)]
+    shapes += [_shape(f"L2x{c}", grid(2, c)) for c in range(4, 9)]
+    shapes += [_shape(f"G3x{c}", grid(3, c)) for c in (3, 4, 5)]
     return shapes + [
-        _shape(f"B{a}x{b}", random_bipartite(rng, a, b, extra))
-        for a, b, extra in ((3, 5, 1), (4, 4, 1), (4, 5, 1), (5, 5, 2), (5, 6, 1), (6, 6, 2))
+        _shape(f"B{a}x{b}.{extra}", random_bipartite(rng, a, b, extra))
+        for a, b in ((4, 4), (4, 5), (5, 5), (5, 6), (6, 6), (6, 7), (7, 7))
+        for extra in (0, 1, 2, 3)
     ]
 
 
@@ -258,4 +263,4 @@ def jobs(
             if edges is None:
                 continue
             seen.add(edges)
-            yield Job(f"{number}-{shape.name}", shape.n, edges)
+            yield Job(f"{number}-{shape.name}", number, shape.n, edges)
