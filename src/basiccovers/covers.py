@@ -8,9 +8,14 @@ number of basic k-covers is the Hilbert function of the graded algebra
 these covers span, and the growth rate of the basic 2h-cover counts
 recovers its Krull dimension.
 
+Enumeration and counting take separate routes, so each checks the other.
 The enumerator is a depth-first search over vertex values with three exact
 prunes (edge feasibility, the value ceiling k, and achievable tightness);
 a final basicness filter keeps correctness independent of the pruning.
+The counter never lists a cover: it runs the transfer-matrix method over a
+vertex order that keeps the frontier of partly constrained vertices
+narrow, so its cost follows the number of frontier states rather than the
+number of covers.
 """
 
 from __future__ import annotations
@@ -159,13 +164,12 @@ def _search_order(g: Graph) -> list[int]:
     return order
 
 
-def _run_basic_cover_search(g: Graph, k: int, collect: bool):
-    """Shared DFS behind enumeration and counting.
+def _basic_cover_search(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """Depth-first search for the value tuples of the basic k-covers.
 
-    Returns a count when ``collect`` is false, else the list of value
-    tuples.  Basicness bounds every value by k, each newly assigned vertex
-    must keep its edges feasible, and a vertex whose neighbourhood is fully
-    assigned must either be zero or own a tight edge.
+    Basicness bounds every value by k, each newly assigned vertex must keep
+    its edges feasible, and a vertex whose neighbourhood is fully assigned
+    must either be zero or own a tight edge.
     """
     n = g.vertex_count
     order = _search_order(g)
@@ -176,7 +180,6 @@ def _run_basic_cover_search(g: Graph, k: int, collect: bool):
     ]
     unassigned_nbrs = [len(nbrs[i]) for i in range(n)]
     values = [-1] * n
-    count = 0
     found: list[tuple[int, ...]] = []
 
     def tight(i: int) -> bool:
@@ -184,14 +187,10 @@ def _run_basic_cover_search(g: Graph, k: int, collect: bool):
         return any(values[j] >= 0 and x + values[j] == k for j in nbrs[i])
 
     def assign(i: int) -> None:
-        nonlocal count
         if i == n:
             vals = tuple(values[position[v]] for v in range(1, n + 1))
             if _is_basic_values(g, vals, k):
-                if collect:
-                    found.append(vals)
-                else:
-                    count += 1
+                found.append(vals)
             return
         lo = 0
         for j in nbrs[i]:
@@ -222,7 +221,7 @@ def _run_basic_cover_search(g: Graph, k: int, collect: bool):
         values[i] = -1
 
     assign(0)
-    return found if collect else count
+    return found
 
 
 def enumerate_basic_covers(
@@ -233,14 +232,168 @@ def enumerate_basic_covers(
         raise MalformedInput(f"cover level must be >= 1, got {k}")
     budget = budget or default_budget()
     budget.check_graph(g.vertex_count, g.edge_count, "enumerate_basic_covers")
-    found = _run_basic_cover_search(g, k, collect=True)
-    return [Cover(vals, k) for vals in sorted(found)]
+    return [Cover(vals, k) for vals in sorted(_basic_cover_search(g, k))]
+
+
+# --- counting by the transfer-matrix method -----------------------------------
+
+
+def _frontier_steps(g: Graph):
+    """Vertex order and one transition table per vertex for the counting DP.
+
+    The frontier is the list of placed vertices that still have an unplaced
+    neighbour.  Each step places the vertex that leaves the smallest
+    frontier, ties broken by more placed neighbours, then smaller degree,
+    then label.  Positions index the frontier; the placed vertex v, when it
+    stays on the frontier, takes the last position of the new one.  Each
+    step is ``(nbr_pos, keep, leave, stays, witnesses)``:
+
+    - ``nbr_pos``: old positions of v's placed neighbours;
+    - ``keep`` / ``leave``: old positions that stay, or leave because v was
+      their last unplaced neighbour;
+    - ``stays``: whether v joins the frontier;
+    - ``witnesses``: for each new position whose chance of a tight edge
+      changes when v is placed (v itself, its neighbours, and the vertices
+      sharing an unplaced neighbour with it), one entry per unplaced
+      neighbour w: the new positions of w's other placed neighbours, and
+      whether v is among them.  Positions with an unplaced neighbour that
+      no other placed vertex constrains are left out: they can always be
+      made tight.
+    """
+    adjacency = g.adjacency
+    placed = [False] * (g.vertex_count + 1)
+    unplaced_nbrs = [0] + [g.degree(v) for v in g.vertices]
+
+    def growth(u: int) -> tuple[int, int, int, int]:
+        nbrs = adjacency[u - 1]
+        placed_nbrs = sum(placed[w] for w in nbrs)
+        # Placed neighbours whose last unplaced neighbour is u leave.
+        closed = sum(1 for w in nbrs if placed[w] and unplaced_nbrs[w] == 1)
+        opens = placed_nbrs < len(nbrs)
+        return (opens - closed, -placed_nbrs, len(nbrs), u)
+
+    frontier: list[int] = []
+    steps = []
+    for _ in g.vertices:
+        v = min((u for u in g.vertices if not placed[u]), key=growth)
+        nbrs = adjacency[v - 1]
+        nbr_pos = [i for i, u in enumerate(frontier) if u in nbrs]
+        placed[v] = True
+        for u in nbrs:
+            unplaced_nbrs[u] -= 1
+        keep = [i for i, u in enumerate(frontier) if unplaced_nbrs[u]]
+        leave = [i for i, u in enumerate(frontier) if not unplaced_nbrs[u]]
+        stays = unplaced_nbrs[v] > 0
+        frontier = [frontier[i] for i in keep] + ([v] if stays else [])
+        position = {u: i for i, u in enumerate(frontier)}
+        witnesses: dict[int, list[tuple[tuple[int, ...], bool]]] = {}
+        for i, f in enumerate(frontier):
+            options = []
+            for w in adjacency[f - 1]:
+                if placed[w]:
+                    continue
+                others = tuple(
+                    position[y] for y in adjacency[w - 1] if placed[y] and y != f
+                )
+                if not others:
+                    # w is constrained by f alone, so it can always be
+                    # given exactly the value that makes the edge fw tight.
+                    break
+                options.append((others, w in nbrs))
+            else:
+                if f == v or f in nbrs or any(near for _, near in options):
+                    witnesses[i] = options
+        steps.append((nbr_pos, keep, leave, stays, witnesses))
+    return steps
+
+
+def _count_by_frontier(g: Graph, k: int) -> int:
+    """Number of basic k-covers by the transfer-matrix method (Stanley,
+    *Enumerative Combinatorics I*, 4.7) over a vertex order.
+
+    A state holds one entry per frontier vertex: its value x once it has a
+    tight edge (0 always counts as tight), and -x while it still needs one;
+    the DP maps each state to the number of partial assignments reaching
+    it.  Placing v with placed neighbours of smallest value m admits the
+    values x in [k - m, k]; only x = k - m makes edges tight, for v and for
+    every neighbour of value m.  A vertex leaving the frontier must be
+    tight, and a vertex still needing a tight edge must keep an unplaced
+    neighbour w that can take exactly the complementary value, which means
+    its own value is at most that of every placed neighbour of w.
+    """
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for nbr_pos, keep, leave, stays, witnesses in _frontier_steps(g):
+        vpos = len(keep)
+        checked = [(i, opts) for i, opts in witnesses.items() if i != vpos]
+        v_options = witnesses.get(vpos)
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
+        for state, count in states.items():
+            if nbr_pos:
+                m = min(abs(state[i]) for i in nbr_pos)
+                lo = k - m
+                tightened = list(state)
+                for i in nbr_pos:
+                    if state[i] == -m:
+                        tightened[i] = m
+            else:
+                lo = 0
+                tightened = state
+            # x = lo: v is tight (at 0, or against a neighbour of value m).
+            if all(tightened[i] >= 0 for i in leave):
+                new = [tightened[i] for i in keep]
+                if stays:
+                    new.append(lo)
+                if all(
+                    new[i] >= 0
+                    or any(
+                        all(abs(new[j]) >= -new[i] for j in others)
+                        for others, _ in opts
+                    )
+                    for i, opts in checked
+                ):
+                    key = tuple(new)
+                    nxt[key] = get(key, 0) + count
+            # x > lo: nothing becomes tight, and v still needs a tight edge.
+            if not stays or lo == k or any(state[i] < 0 for i in leave):
+                continue
+            base = tuple([state[i] for i in keep])
+            x_min = lo + 1
+            for i, opts in checked:
+                need = -base[i]
+                if need <= 0:
+                    continue
+                # A witness next to v also needs x >= need.
+                fits = [
+                    near
+                    for others, near in opts
+                    if all(abs(base[j]) >= need for j in others if j != vpos)
+                ]
+                if not fits:
+                    break  # no x > lo keeps vertex i able to become tight
+                if all(fits):
+                    x_min = max(x_min, need)
+            else:
+                # v's own witness w must be able to take k - x.
+                x_max = k
+                if v_options is not None:
+                    x_max = max(
+                        min(abs(base[j]) for j in others) for others, _ in v_options
+                    )
+                for x in range(x_min, x_max + 1):
+                    key = base + (-x,)
+                    nxt[key] = get(key, 0) + count
+        states = nxt
+    return states.get((), 0)
 
 
 def count_basic_covers(g: Graph, k: int, budget: SearchBudget | None = None) -> int:
+    """Number of basic k-covers, counted without listing them."""
+    if k < 1:
+        raise MalformedInput(f"cover level must be >= 1, got {k}")
     budget = budget or default_budget()
     budget.check_graph(g.vertex_count, g.edge_count, "count_basic_covers")
-    return _run_basic_cover_search(g, k, collect=False)
+    return _count_by_frontier(g, k)
 
 
 def hilbert_function(g: Graph, k: int, budget: SearchBudget | None = None) -> int:

@@ -212,6 +212,10 @@ def parse_graph(text: str) -> Graph:
     return Graph.from_edges(edges, vertex_count=declared_n)
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_structured(text: str) -> Graph:
     try:
         doc = json.loads(text)
@@ -224,9 +228,14 @@ def _parse_structured(text: str) -> Graph:
         isinstance(e, list) and len(e) == 2 for e in edges
     ):
         raise MalformedInput("'edges' must be a list of 2-element lists")
+    # JSON true/false load as bool, a subclass of int; 2.0 and "2" would
+    # only pass through int() coercion.
+    for u, v in edges:
+        if not (_is_json_int(u) and _is_json_int(v)):
+            raise MalformedInput(f"vertex labels must be integers, got [{u!r}, {v!r}]")
     n = doc.get("n")
-    if n is not None and not isinstance(n, int):
-        raise MalformedInput("'n' must be an integer")
+    if n is not None and not _is_json_int(n):
+        raise MalformedInput(f"'n' must be an integer, got {n!r}")
     names = doc.get("names")
     if names is not None:
         names = tuple(str(s) for s in names)

@@ -103,16 +103,27 @@ class CoverPoset:
         return tuple(out)
 
     @cached_property
-    def element_ranks(self) -> tuple[int, ...]:
-        """Longest-chain height of each element above the minimal elements."""
+    def height_range(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Shortest and longest Hasse-path height of each element above the
+        minimal elements."""
         n = len(self.elements)
         leq = self._leq_matrix
-        order = sorted(range(n), key=lambda i: sum(leq[j][i] for j in range(n)))
-        ranks = [0] * n
-        for j in order:
-            below = [ranks[i] + 1 for i, jj in self.cover_relations if jj == j]
-            ranks[j] = max(below, default=0)
-        return tuple(ranks)
+        lower: list[list[int]] = [[] for _ in range(n)]
+        for i, j in self.cover_relations:
+            lower[j].append(i)
+        shortest = [0] * n
+        longest = [0] * n
+        # Fewer elements below comes first: a linear extension.
+        for j in sorted(range(n), key=lambda i: sum(leq[j][i] for j in range(n))):
+            if lower[j]:
+                shortest[j] = 1 + min(shortest[i] for i in lower[j])
+                longest[j] = 1 + max(longest[i] for i in lower[j])
+        return tuple(shortest), tuple(longest)
+
+    @cached_property
+    def element_ranks(self) -> tuple[int, ...]:
+        """Longest-chain height of each element above the minimal elements."""
+        return self.height_range[1]
 
     def maximal_chains(self) -> list[tuple[Cover, ...]]:
         n = len(self.elements)
@@ -207,12 +218,22 @@ def join_candidate(poset: CoverPoset, x: Cover, y: Cover) -> Cover | None:
 
 def rank(poset: CoverPoset) -> int:
     """Length (in edges) of a longest chain."""
-    return max(len(chain) - 1 for chain in poset.maximal_chains())
+    return max(poset.element_ranks)
 
 
 def is_pure(poset: CoverPoset) -> bool:
-    lengths = {len(chain) for chain in poset.maximal_chains()}
-    return len(lengths) == 1
+    """All maximal chains of the same length.
+
+    A maximal chain is a Hasse path from a minimal to a maximal element, so
+    every chain length lies between the shortest and the longest height of
+    some maximal element, and both of those are attained.  The poset is
+    therefore pure exactly when the least shortest height of a maximal
+    element equals the greatest longest height.
+    """
+    shortest, longest = poset.height_range
+    has_upper = {i for i, _ in poset.cover_relations}
+    maximal = [i for i in range(len(poset.elements)) if i not in has_upper]
+    return min(shortest[i] for i in maximal) == max(longest[i] for i in maximal)
 
 
 def _unique_extremum(poset: CoverPoset, candidates: list[int], want_min: bool) -> int | None:

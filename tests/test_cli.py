@@ -85,6 +85,15 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert doc["exit_code"] == 1
 
 
+def test_non_integer_json_label_exit_code(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"edges": [[1, 2.7], [2, 3]]}')
+    code, out, err = run(capsys, ["covers", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedInput"
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["covers", str(tmp_path / "missing.edges")])
     assert code == 1

@@ -27,7 +27,7 @@ from basiccovers.errors import (
     SearchBudgetExceeded,
 )
 from basiccovers.gdim import graphical_dimension
-from basiccovers.graph import Graph, cycle_graph, path_graph
+from basiccovers.graph import Graph, complete_bipartite, cycle_graph, path_graph
 
 from conftest import (
     brute_force_basic_covers,
@@ -119,8 +119,44 @@ def test_count_agrees_with_enumeration():
     rng = random.Random(23)
     for _ in range(20):
         g = random_connected_graph(rng, rng.randint(2, 7))
-        for k in (1, 2, 3, 4):
+        for k in range(1, 9):
             assert count_basic_covers(g, k) == len(enumerate_basic_covers(g, k))
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=7),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_count_agrees_with_enumeration_random(seed, n, k):
+    # The transfer-matrix count against the DFS enumeration.
+    g = random_connected_graph(random.Random(seed), n)
+    assert count_basic_covers(g, k) == len(enumerate_basic_covers(g, k))
+
+
+def test_count_dense_graphs():
+    # Dense graphs have few basic covers but many feasible partial
+    # assignments; the tightness prune keeps the frontier states few.
+    k8 = Graph.from_edges([(i, j) for i in range(1, 9) for j in range(i + 1, 9)])
+    assert [count_basic_covers(k8, k) for k in (2, 8, 16)] == [9, 33, 65]
+    assert count_basic_covers(complete_bipartite(5, 5), 16) == 17
+    for g in (k8, complete_bipartite(3, 4)):
+        for k in (1, 2, 5):
+            assert count_basic_covers(g, k) == len(enumerate_basic_covers(g, k))
+
+
+def test_count_p12_level_16():
+    # Value the enumeration gave on the same graph (829,753 covers).
+    assert count_basic_covers(path_graph(12), 16) == 829_753
+
+
+def test_count_rejects_bad_level():
+    for k in (0, -1):
+        with pytest.raises(MalformedInput):
+            count_basic_covers(K2, k)
+    with pytest.raises(MalformedInput):
+        hilbert_function(K2, -1)
 
 
 def test_basicness_vs_descent_search():

@@ -87,6 +87,24 @@ def test_parse_structured_document():
         parse_graph('{"edges": "nope"}')
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"edges": [[true, 2]]}',
+        '{"edges": [[1, 2.0]]}',
+        '{"edges": [[1, 2.7]]}',
+        '{"edges": [["1", 2]]}',
+        '{"edges": [[1, null]]}',
+        '{"n": true, "edges": [[1, 2]]}',
+        '{"n": 2.0, "edges": [[1, 2]]}',
+        '{"n": "2", "edges": [[1, 2]]}',
+    ],
+)
+def test_parse_structured_rejects_non_integers(doc):
+    with pytest.raises(MalformedInput):
+        parse_graph(doc)
+
+
 def test_duplicate_edges_collapse():
     g = Graph.from_edges([(1, 2), (2, 1)])
     assert g.edges == ((1, 2),)

@@ -92,6 +92,20 @@ def test_p6_poset_not_pure_with_both_chains(fixtures):
     assert labelled == [("000", "001", "011", "111"), ("000", "110", "111")]
 
 
+def test_rank_and_purity_match_maximal_chains():
+    # rank and is_pure read Hasse-path heights; the chain walk is the
+    # independent side.
+    graphs = [g for _, g in fixture_items()] + [path_graph(n) for n in range(2, 17)]
+    for g in graphs:
+        try:
+            p = build_poset(g)
+        except NotBipartite:
+            continue
+        lengths = {len(chain) - 1 for chain in p.maximal_chains()}
+        assert rank(p) == max(lengths), g.edges
+        assert is_pure(p) == (len(lengths) == 1), g.edges
+
+
 def test_order_duality():
     rng = random.Random(19)
     graphs = [g for _, g in fixture_items() if g.vertex_count <= 8] + [
