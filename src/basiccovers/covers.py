@@ -246,19 +246,10 @@ def _frontier_steps(g: Graph):
     frontier, ties broken by more placed neighbours, then smaller degree,
     then label.  Positions index the frontier; the placed vertex v, when it
     stays on the frontier, takes the last position of the new one.  Each
-    step is ``(nbr_pos, keep, leave, stays, witnesses)``:
-
-    - ``nbr_pos``: old positions of v's placed neighbours;
-    - ``keep`` / ``leave``: old positions that stay, or leave because v was
-      their last unplaced neighbour;
-    - ``stays``: whether v joins the frontier;
-    - ``witnesses``: for each new position whose chance of a tight edge
-      changes when v is placed (v itself, its neighbours, and the vertices
-      sharing an unplaced neighbour with it), one entry per unplaced
-      neighbour w: the new positions of w's other placed neighbours, and
-      whether v is among them.  Positions with an unplaced neighbour that
-      no other placed vertex constrains are left out: they can always be
-      made tight.
+    step is ``(nbr_pos, keep, leave, stays)``: the old positions of v's
+    placed neighbours, the old positions that stay, those that leave
+    because v was their last unplaced neighbour, and whether v joins the
+    frontier.
     """
     adjacency = g.adjacency
     placed = [False] * (g.vertex_count + 1)
@@ -285,25 +276,7 @@ def _frontier_steps(g: Graph):
         leave = [i for i, u in enumerate(frontier) if not unplaced_nbrs[u]]
         stays = unplaced_nbrs[v] > 0
         frontier = [frontier[i] for i in keep] + ([v] if stays else [])
-        position = {u: i for i, u in enumerate(frontier)}
-        witnesses: dict[int, list[tuple[tuple[int, ...], bool]]] = {}
-        for i, f in enumerate(frontier):
-            options = []
-            for w in adjacency[f - 1]:
-                if placed[w]:
-                    continue
-                others = tuple(
-                    position[y] for y in adjacency[w - 1] if placed[y] and y != f
-                )
-                if not others:
-                    # w is constrained by f alone, so it can always be
-                    # given exactly the value that makes the edge fw tight.
-                    break
-                options.append((others, w in nbrs))
-            else:
-                if f == v or f in nbrs or any(near for _, near in options):
-                    witnesses[i] = options
-        steps.append((nbr_pos, keep, leave, stays, witnesses))
+        steps.append((nbr_pos, keep, leave, stays))
     return steps
 
 
@@ -317,15 +290,10 @@ def _count_by_frontier(g: Graph, k: int) -> int:
     it.  Placing v with placed neighbours of smallest value m admits the
     values x in [k - m, k]; only x = k - m makes edges tight, for v and for
     every neighbour of value m.  A vertex leaving the frontier must be
-    tight, and a vertex still needing a tight edge must keep an unplaced
-    neighbour w that can take exactly the complementary value, which means
-    its own value is at most that of every placed neighbour of w.
+    tight.
     """
     states: dict[tuple[int, ...], int] = {(): 1}
-    for nbr_pos, keep, leave, stays, witnesses in _frontier_steps(g):
-        vpos = len(keep)
-        checked = [(i, opts) for i, opts in witnesses.items() if i != vpos]
-        v_options = witnesses.get(vpos)
+    for nbr_pos, keep, leave, stays in _frontier_steps(g):
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
         for state, count in states.items():
@@ -344,45 +312,15 @@ def _count_by_frontier(g: Graph, k: int) -> int:
                 new = [tightened[i] for i in keep]
                 if stays:
                     new.append(lo)
-                if all(
-                    new[i] >= 0
-                    or any(
-                        all(abs(new[j]) >= -new[i] for j in others)
-                        for others, _ in opts
-                    )
-                    for i, opts in checked
-                ):
-                    key = tuple(new)
-                    nxt[key] = get(key, 0) + count
+                key = tuple(new)
+                nxt[key] = get(key, 0) + count
             # x > lo: nothing becomes tight, and v still needs a tight edge.
             if not stays or lo == k or any(state[i] < 0 for i in leave):
                 continue
             base = tuple([state[i] for i in keep])
-            x_min = lo + 1
-            for i, opts in checked:
-                need = -base[i]
-                if need <= 0:
-                    continue
-                # A witness next to v also needs x >= need.
-                fits = [
-                    near
-                    for others, near in opts
-                    if all(abs(base[j]) >= need for j in others if j != vpos)
-                ]
-                if not fits:
-                    break  # no x > lo keeps vertex i able to become tight
-                if all(fits):
-                    x_min = max(x_min, need)
-            else:
-                # v's own witness w must be able to take k - x.
-                x_max = k
-                if v_options is not None:
-                    x_max = max(
-                        min(abs(base[j]) for j in others) for others, _ in v_options
-                    )
-                for x in range(x_min, x_max + 1):
-                    key = base + (-x,)
-                    nxt[key] = get(key, 0) + count
+            for x in range(lo + 1, k + 1):
+                key = base + (-x,)
+                nxt[key] = get(key, 0) + count
         states = nxt
     return states.get((), 0)
 

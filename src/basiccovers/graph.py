@@ -165,7 +165,7 @@ def parse_graph(text: str) -> Graph:
     whitespace, ``#`` starts a comment, and an optional header line
     ``n <count>`` declares the vertex count.  A document starting with
     ``{`` is treated as JSON with fields ``n`` and ``edges`` (and an
-    optional ``names`` list).
+    optional ``names`` list of strings, one per vertex).
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -238,7 +238,9 @@ def _parse_structured(text: str) -> Graph:
         raise MalformedInput(f"'n' must be an integer, got {n!r}")
     names = doc.get("names")
     if names is not None:
-        names = tuple(str(s) for s in names)
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise MalformedInput(f"'names' must be a list of strings, got {names!r}")
+        names = tuple(names)
     return Graph.from_edges(edges, vertex_count=n, names=names)
 
 

@@ -85,9 +85,12 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert doc["exit_code"] == 1
 
 
-def test_non_integer_json_label_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "doc", ['{"edges": [[1, 2.7], [2, 3]]}', '{"edges": [[1, 2]], "names": 5}']
+)
+def test_malformed_json_document_exit_code(capsys, tmp_path, doc):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"edges": [[1, 2.7], [2, 3]]}')
+    bad.write_text(doc)
     code, out, err = run(capsys, ["covers", str(bad)])
     assert code == 1
     assert out == ""

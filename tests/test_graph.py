@@ -83,6 +83,8 @@ def test_parse_rejects_garbage():
 def test_parse_structured_document():
     g = parse_graph('{"n": 3, "edges": [[1, 2], [2, 3]]}')
     assert g.edges == ((1, 2), (2, 3))
+    g = parse_graph('{"edges": [[1, 2]], "names": ["a", "b"]}')
+    assert [g.display(v) for v in g.vertices] == ["a", "b"]
     with pytest.raises(MalformedInput):
         parse_graph('{"edges": "nope"}')
 
@@ -98,6 +100,10 @@ def test_parse_structured_document():
         '{"n": true, "edges": [[1, 2]]}',
         '{"n": 2.0, "edges": [[1, 2]]}',
         '{"n": "2", "edges": [[1, 2]]}',
+        '{"edges": [[1, 2]], "names": 5}',
+        '{"edges": [[1, 2]], "names": "ab"}',
+        '{"edges": [[1, 2]], "names": ["a", 2]}',
+        '{"edges": [[1, 2]], "names": ["a"]}',
     ],
 )
 def test_parse_structured_rejects_non_integers(doc):
