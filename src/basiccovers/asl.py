@@ -11,6 +11,7 @@ counts must agree at every degree.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from .covers import Cover, enumerate_basic_covers, is_basic
 from .errors import (
     DimensionMismatch,
     EquivalenceViolation,
+    MalformedInput,
     NotAMultichain,
     SumNotBasic,
 )
@@ -103,11 +105,12 @@ def multichain_to_cover(poset: CoverPoset, chain) -> Cover:
     chain = list(chain)
     if not chain:
         raise NotAMultichain("a multichain needs at least one element")
-    for c in chain:
-        if c not in poset.elements:
-            raise NotAMultichain("multichain entries must be poset elements")
-    for a, b in zip(chain, chain[1:]):
-        if not poset.leq(a, b):
+    try:
+        indices = [poset.index_of(c) for c in chain]
+    except MalformedInput:
+        raise NotAMultichain("multichain entries must be poset elements") from None
+    for a, b, i, j in zip(chain, chain[1:], indices, indices[1:]):
+        if not poset.leq_by_index(i, j):
             raise NotAMultichain(
                 f"{poset.label_of(a)} is not below {poset.label_of(b)}"
             )
@@ -119,19 +122,14 @@ def multichain_to_cover(poset: CoverPoset, chain) -> Cover:
     return total
 
 
-def _multichains(poset: CoverPoset, d: int):
-    elements = poset.elements
-
-    def extend(prefix: list[Cover]) -> list[tuple[Cover, ...]]:
-        if len(prefix) == d:
-            return [tuple(prefix)]
-        out = []
-        for c in elements:
-            if not prefix or poset.leq(prefix[-1], c):
-                out.extend(extend(prefix + [c]))
-        return out
-
-    return extend([])
+def _multichains(poset: CoverPoset, d: int) -> Iterator[tuple[Cover, ...]]:
+    """Every weakly increasing d-element sequence, grown as index tuples
+    along the up-lists."""
+    ups = poset.up_lists
+    chains = [(i,) for i in range(len(poset.elements))]
+    for _ in range(d - 1):
+        chains = [chain + (j,) for chain in chains for j in ups[chain[-1]]]
+    return (tuple(poset.elements[i] for i in chain) for chain in chains)
 
 
 def verify_asl1(

@@ -34,7 +34,7 @@ from .errors import (
 from .graph import Graph, check_values, is_connected
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Cover:
     """A k-cover: one value per vertex (index v-1 serves vertex v) plus its level."""
 

@@ -28,6 +28,11 @@ from .errors import (
 Edge = tuple[int, int]
 
 
+def _is_int(x) -> bool:
+    # bool is a subclass of int, and JSON true/false load as bool.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
@@ -79,9 +84,17 @@ class Graph:
     ) -> "Graph":
         """Build a graph from an iterable of 2-element edge pairs.
 
-        The vertex count defaults to the largest label that occurs.
+        Labels must be ints; bools, floats and strings are rejected rather
+        than coerced.  The vertex count defaults to the largest label that
+        occurs.
         """
-        canon = sorted({_canonical_edge(int(u), int(v)) for u, v in edges})
+        edges = list(edges)
+        for u, v in edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise MalformedInput(
+                    f"vertex labels must be integers, got [{u!r}, {v!r}]"
+                )
+        canon = sorted({_canonical_edge(u, v) for u, v in edges})
         for u, v in canon:
             if u == v:
                 raise LoopEdge(f"loop edge {{{u},{v}}} is not allowed")
@@ -212,10 +225,6 @@ def parse_graph(text: str) -> Graph:
     return Graph.from_edges(edges, vertex_count=declared_n)
 
 
-def _is_json_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_structured(text: str) -> Graph:
     try:
         doc = json.loads(text)
@@ -228,13 +237,8 @@ def _parse_structured(text: str) -> Graph:
         isinstance(e, list) and len(e) == 2 for e in edges
     ):
         raise MalformedInput("'edges' must be a list of 2-element lists")
-    # JSON true/false load as bool, a subclass of int; 2.0 and "2" would
-    # only pass through int() coercion.
-    for u, v in edges:
-        if not (_is_json_int(u) and _is_json_int(v)):
-            raise MalformedInput(f"vertex labels must be integers, got [{u!r}, {v!r}]")
     n = doc.get("n")
-    if n is not None and not _is_json_int(n):
+    if n is not None and not _is_int(n):
         raise MalformedInput(f"'n' must be an integer, got {n!r}")
     names = doc.get("names")
     if names is not None:

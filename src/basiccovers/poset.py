@@ -55,11 +55,15 @@ class CoverPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self, cover: Cover) -> int:
-        return self.elements.index(cover)
+    @cached_property
+    def _index(self) -> dict[Cover, int]:
+        return {c: i for i, c in enumerate(self.elements)}
 
-    def leq(self, x: Cover, y: Cover) -> bool:
-        return all(p <= q for p, q in zip(self.pattern_of(x), self.pattern_of(y)))
+    def index_of(self, cover: Cover) -> int:
+        try:
+            return self._index[cover]
+        except (KeyError, TypeError):
+            raise MalformedInput(f"{cover!r} is not an element of the poset") from None
 
     @cached_property
     def _leq_matrix(self) -> tuple[tuple[bool, ...], ...]:
@@ -68,53 +72,103 @@ class CoverPoset:
             tuple(all(p <= q for p, q in zip(pi, pj)) for pj in pats) for pi in pats
         )
 
+    def leq(self, x: Cover, y: Cover) -> bool:
+        return self._leq_matrix[self.index_of(x)][self.index_of(y)]
+
     def leq_by_index(self, i: int, j: int) -> bool:
         return self._leq_matrix[i][j]
 
     @cached_property
+    def down_sets(self) -> tuple[int, ...]:
+        """Bitmask of the elements at or below each element."""
+        leq = self._leq_matrix
+        n = len(self.elements)
+        return tuple(
+            sum(1 << i for i in range(n) if leq[i][j]) for j in range(n)
+        )
+
+    @cached_property
+    def up_sets(self) -> tuple[int, ...]:
+        """Bitmask of the elements at or above each element."""
+        return tuple(sum(1 << j for j in ups) for ups in self.up_lists)
+
+    @cached_property
+    def up_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Indices of the elements at or above each element, ascending."""
+        return tuple(
+            tuple(j for j, above in enumerate(row) if above)
+            for row in self._leq_matrix
+        )
+
+    @cached_property
+    def _by_down_set(self) -> dict[int, int]:
+        return {d: i for i, d in enumerate(self.down_sets)}
+
+    @cached_property
+    def _by_up_set(self) -> dict[int, int]:
+        return {u: i for i, u in enumerate(self.up_sets)}
+
+    def meet_index(self, i: int, j: int) -> int | None:
+        """The infimum of elements i and j, or None when it does not exist.
+
+        The common lower bounds form the set down(i) & down(j); it has a
+        greatest element m exactly when down(m) equals that set.
+        """
+        return self._by_down_set.get(self.down_sets[i] & self.down_sets[j])
+
+    def join_index(self, i: int, j: int) -> int | None:
+        """The supremum of elements i and j (dual of :meth:`meet_index`)."""
+        return self._by_up_set.get(self.up_sets[i] & self.up_sets[j])
+
+    @cached_property
+    def lattice_tables(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
+        """Meet and join index tables, or None when some pair lacks an
+        infimum or a supremum.  Built from the order alone."""
+        n = range(len(self.elements))
+        meet = tuple(tuple(self.meet_index(i, j) for j in n) for i in n)
+        join = tuple(tuple(self.join_index(i, j) for j in n) for i in n)
+        if any(None in row for row in meet + join):
+            return None
+        return meet, join
+
+    @cached_property
     def bottom(self) -> Cover | None:
-        for c in self.elements:
-            if all(self.leq(c, d) for d in self.elements):
-                return c
-        return None
+        everything = (1 << len(self.elements)) - 1
+        idx = self._by_up_set.get(everything)
+        return None if idx is None else self.elements[idx]
 
     @cached_property
     def top(self) -> Cover | None:
-        for c in self.elements:
-            if all(self.leq(d, c) for d in self.elements):
-                return c
-        return None
+        everything = (1 << len(self.elements)) - 1
+        idx = self._by_down_set.get(everything)
+        return None if idx is None else self.elements[idx]
 
     @cached_property
     def cover_relations(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges (i, j) with element i covered by element j."""
-        n = len(self.elements)
-        leq = self._leq_matrix
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not leq[i][j]:
-                    continue
-                if any(
-                    k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)
-                ):
-                    continue
-                out.append((i, j))
-        return tuple(out)
+        """Hasse edges (i, j) with element i covered by element j: nothing
+        lies strictly between them."""
+        up, down = self.up_sets, self.down_sets
+        return tuple(
+            (i, j)
+            for i in range(len(self.elements))
+            for j in self.up_lists[i]
+            if j != i and up[i] & down[j] == (1 << i) | (1 << j)
+        )
 
     @cached_property
     def height_range(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Shortest and longest Hasse-path height of each element above the
         minimal elements."""
         n = len(self.elements)
-        leq = self._leq_matrix
         lower: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.cover_relations:
             lower[j].append(i)
         shortest = [0] * n
         longest = [0] * n
         # Fewer elements below comes first: a linear extension.
-        for j in sorted(range(n), key=lambda i: sum(leq[j][i] for j in range(n))):
+        for j in sorted(range(n), key=lambda i: self.down_sets[i].bit_count()):
             if lower[j]:
                 shortest[j] = 1 + min(shortest[i] for i in lower[j])
                 longest[j] = 1 + max(longest[i] for i in lower[j])
@@ -130,11 +184,7 @@ class CoverPoset:
         ups: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.cover_relations:
             ups[i].append(j)
-        minimal = [
-            i
-            for i in range(n)
-            if not any(jj == i for _, jj in self.cover_relations)
-        ]
+        minimal = [i for i in range(n) if self.down_sets[i] == 1 << i]
         chains: list[tuple[Cover, ...]] = []
 
         def walk(i: int, acc: list[int]) -> None:
@@ -231,38 +281,17 @@ def is_pure(poset: CoverPoset) -> bool:
     element equals the greatest longest height.
     """
     shortest, longest = poset.height_range
-    has_upper = {i for i, _ in poset.cover_relations}
-    maximal = [i for i in range(len(poset.elements)) if i not in has_upper]
+    maximal = [i for i, up in enumerate(poset.up_sets) if up == 1 << i]
     return min(shortest[i] for i in maximal) == max(longest[i] for i in maximal)
 
 
-def _unique_extremum(poset: CoverPoset, candidates: list[int], want_min: bool) -> int | None:
-    """Index of the unique minimal (or maximal) element among candidates."""
-    extremal = [
-        i
-        for i in candidates
-        if not any(
-            j != i
-            and (poset.leq_by_index(j, i) if want_min else poset.leq_by_index(i, j))
-            for j in candidates
-        )
-    ]
-    return extremal[0] if len(extremal) == 1 else None
-
-
 def infimum(poset: CoverPoset, x: Cover, y: Cover) -> Cover | None:
-    n = len(poset.elements)
-    xi, yi = poset.index_of(x), poset.index_of(y)
-    lowers = [i for i in range(n) if poset.leq_by_index(i, xi) and poset.leq_by_index(i, yi)]
-    idx = _unique_extremum(poset, lowers, want_min=False)
+    idx = poset.meet_index(poset.index_of(x), poset.index_of(y))
     return poset.elements[idx] if idx is not None else None
 
 
 def supremum(poset: CoverPoset, x: Cover, y: Cover) -> Cover | None:
-    n = len(poset.elements)
-    xi, yi = poset.index_of(x), poset.index_of(y)
-    uppers = [i for i in range(n) if poset.leq_by_index(xi, i) and poset.leq_by_index(yi, i)]
-    idx = _unique_extremum(poset, uppers, want_min=True)
+    idx = poset.join_index(poset.index_of(x), poset.index_of(y))
     return poset.elements[idx] if idx is not None else None
 
 
@@ -273,22 +302,23 @@ def is_lattice(poset: CoverPoset) -> bool:
     notions diverge exactly on the graphs whose straightening relations
     contain a zero product.
     """
-    for x, y in combinations(poset.elements, 2):
-        if infimum(poset, x, y) is None or supremum(poset, x, y) is None:
-            return False
-    return True
+    return poset.lattice_tables is not None
 
 
 def is_distributive(poset: CoverPoset) -> bool:
+    """a v (b ^ c) == (a v b) ^ (a v c) for all a, b, c."""
     if not is_lattice(poset):
         raise NotALattice("distributivity is defined for lattices")
-    elems = poset.elements
-    inf = {(x, y): infimum(poset, x, y) for x in elems for y in elems}
-    sup = {(x, y): supremum(poset, x, y) for x in elems for y in elems}
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                if sup[(a, inf[(b, c)])] != inf[(sup[(a, b)], sup[(a, c)])]:
+    meet, join = poset.lattice_tables
+    n = len(poset.elements)
+    for a in range(n):
+        join_a = join[a]
+        for b in range(n):
+            meet_b = meet[b]
+            meet_ab = meet[join_a[b]]
+            # Both sides are symmetric in b and c.
+            for c in range(b + 1, n):
+                if join_a[meet_b[c]] != meet_ab[join_a[c]]:
                     return False
     return True
 
@@ -297,23 +327,19 @@ def is_locally_upper_semimodular(poset: CoverPoset) -> bool:
     """Whenever two elements cover u and lie below a common v, some t <= v
     covers both of them."""
     n = len(poset.elements)
-    covers_of: list[list[int]] = [[] for _ in range(n)]
+    up = poset.up_sets
+    covers_of: list[set[int]] = [set() for _ in range(n)]
     for i, j in poset.cover_relations:
-        covers_of[i].append(j)
-    cover_pairs = set(poset.cover_relations)
+        covers_of[i].add(j)
     for u in range(n):
         for v1, v2 in combinations(covers_of[u], 2):
-            for v in range(n):
-                if not (poset.leq_by_index(v1, v) and poset.leq_by_index(v2, v)):
-                    continue
-                ok = any(
-                    poset.leq_by_index(t, v)
-                    and (v1, t) in cover_pairs
-                    and (v2, t) in cover_pairs
-                    for t in range(n)
-                )
-                if not ok:
-                    return False
+            # Every common upper bound of v1 and v2 must lie above some t
+            # that covers both.
+            reached = 0
+            for t in covers_of[v1] & covers_of[v2]:
+                reached |= up[t]
+            if up[v1] & up[v2] & ~reached:
+                return False
     return True
 
 
@@ -350,17 +376,17 @@ class BirkhoffPoset:
             y: [x for x in self.elements if x != y and self.leq(x, y)]
             for y in self.elements
         }
-
-        def height(y: str) -> int:
-            below = downs[y]
-            return 0 if not below else 1 + max(height(x) for x in below)
-
+        height: dict[str, int] = {}
+        # The relation is transitive, so fewer elements below comes first
+        # in a linear extension and every lower height is ready in time.
+        for y in sorted(self.elements, key=lambda y: len(downs[y])):
+            height[y] = 1 + max((height[x] for x in downs[y]), default=-1)
         maximal = [
             y
             for y in self.elements
             if not any(x != y and self.leq(y, x) for x in self.elements)
         ]
-        return {height(y) for y in maximal}
+        return {height[y] for y in maximal}
 
 
 def birkhoff_poset(poset: CoverPoset) -> BirkhoffPoset:
@@ -400,22 +426,18 @@ def order_complex(poset: CoverPoset) -> SimplicialComplex:
 
 
 def count_multichains(poset: CoverPoset, d: int) -> int:
-    """Number of weakly increasing d-element sequences, by dynamic programming
-    over a linear extension (sorted by rank, then A-side pattern)."""
+    """Number of weakly increasing d-element sequences, by dynamic programming:
+    the sequences ending at j extend those ending at any element below j."""
     if d < 0:
         raise MalformedInput("multichain length must be >= 0")
     if d == 0:
         return 1
     n = len(poset.elements)
-    ranks = poset.element_ranks
-    order = sorted(range(n), key=lambda i: (ranks[i], poset.pattern_of(poset.elements[i])))
-    counts = {i: 1 for i in range(n)}
+    below = [[i for i in range(n) if poset.leq_by_index(i, j)] for j in range(n)]
+    counts = [1] * n
     for _ in range(d - 1):
-        counts = {
-            j: sum(counts[i] for i in order if poset.leq_by_index(i, j))
-            for j in order
-        }
-    return sum(counts.values())
+        counts = [sum(counts[i] for i in below[j]) for j in range(n)]
+    return sum(counts)
 
 
 # --- the combinatorial Cohen-Macaulay report --------------------------------------

@@ -159,6 +159,20 @@ def test_asl1_random_bipartite():
             assert verify_asl1(p, d)
 
 
+def test_asl1_fails_when_the_cover_search_drops_a_cover(monkeypatch, fixtures):
+    # The cover search is the independent side of verify_asl1: if it loses
+    # one cover, the multichain images no longer match it.
+    from basiccovers import asl
+
+    p = build_poset(fixtures["E7"])
+    enumerate_all = asl.enumerate_basic_covers
+    assert verify_asl1(p, 2)
+    monkeypatch.setattr(
+        asl, "enumerate_basic_covers", lambda *args: enumerate_all(*args)[1:]
+    )
+    assert not verify_asl1(p, 2)
+
+
 # --- the domain report -------------------------------------------------------------------
 
 

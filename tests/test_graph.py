@@ -111,6 +111,22 @@ def test_parse_structured_rejects_non_integers(doc):
         parse_graph(doc)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(1, 2.7), (2, 3)],
+        [("2", 3)],
+        [(True, 2)],
+        [(1, 2.0)],
+        [(1, None)],
+    ],
+)
+def test_from_edges_rejects_non_integer_labels(edges):
+    # int() would truncate 2.7 to 2 and turn True and "2" into labels.
+    with pytest.raises(MalformedInput):
+        Graph.from_edges(edges)
+
+
 def test_duplicate_edges_collapse():
     g = Graph.from_edges([(1, 2), (2, 1)])
     assert g.edges == ((1, 2),)
