@@ -6,8 +6,14 @@ edge forces i <= j; the graphical dimension is the maximum r plus one.
 The search appends pairs, which preserves the triangular condition
 incrementally: a new a may touch no earlier a (independence) and no
 earlier b.  Validity depends on the ordering, so the search ranges over
-ordered sequences, pruned by the matching number of the untouched
-remainder of the graph.
+ordered sequences.
+
+It runs on int bitsets.  Only the used set U = A | B constrains what may
+follow: a new a avoids U and its neighbourhood N(U), and a new b avoids U.
+So every sequence with the same U has the same extensions, and the search
+skips a U it has already searched, since that U cannot beat the incumbent.
+It also cuts a branch that the matching number of the unused vertices
+cannot lift past the incumbent, and stops at the matching-number ceiling.
 """
 
 from __future__ import annotations
@@ -73,10 +79,15 @@ class GdimResult:
 def graphical_dimension(g: Graph, budget: SearchBudget | None = None) -> GdimResult:
     """Exact maximum free parameter set size plus one, with a witness.
 
-    Backtracking over ordered (a, b) extensions; a branch is cut when the
-    current length plus the matching number of the untouched vertices can
-    no longer beat the incumbent, and the search stops early at the
-    matching-number ceiling.
+    Backtracking over ordered (a, b) extensions, with vertices ascending
+    and each a's partners ascending, so the witness is the
+    lexicographically least maximum-length (a1, b1, a2, b2, ...) sequence.
+    Three prunes drop only branches that cannot strictly beat the
+    incumbent: the search stops at the matching-number ceiling; a branch
+    is cut when its length plus the matching number of the unused vertices
+    cannot beat the incumbent; and a used set U = A | B that was already
+    searched is skipped, because the extensions of a sequence depend on U
+    alone (a new a avoids U and N(U), a new b avoids U).
     """
     if g.edge_count == 0:
         raise MalformedInput("graphical dimension needs at least one edge")
@@ -84,57 +95,68 @@ def graphical_dimension(g: Graph, budget: SearchBudget | None = None) -> GdimRes
     budget.check_graph(g.vertex_count, g.edge_count, "graphical_dimension")
     ceiling = matching_number(g)
 
+    # Vertex v is bit v of every mask; nbr[v] is its neighbour mask.
+    nbr = [0] * (g.vertex_count + 1)
+    for x, y in g.edges:
+        nbr[x] |= 1 << y
+        nbr[y] |= 1 << x
+    every = sum(1 << v for v in g.vertices)
+    edge_masks = [(x, y, 1 << x | 1 << y) for x, y in g.edges]
+
     best_len = 0
     u, v = g.edges[0]
     best_cert = FreeParameterCertificate((u,), (v,))
+    a_seq: list[int] = []
+    b_seq: list[int] = []
+    seen: set[int] = set()
 
-    residual_bound_cache: dict[frozenset[int], int] = {}
+    def residual_bound(remaining: int) -> int:
+        """Matching number of the subgraph induced on ``remaining``; every
+        further (a, b) pair consumes one of its edges.  Each used set is
+        searched once, so each ``remaining`` reaches here once: no cache."""
+        sub_edges = [(x, y) for x, y, m in edge_masks if remaining & m == m]
+        if not sub_edges:
+            return 0
+        touched = sorted({x for e in sub_edges for x in e})
+        relabel = {w: i + 1 for i, w in enumerate(touched)}
+        sub = Graph.from_edges(
+            [(relabel[x], relabel[y]) for x, y in sub_edges],
+            vertex_count=len(touched),
+        )
+        return matching_number(sub)
 
-    def residual_bound(used: frozenset[int]) -> int:
-        """Matching number of the subgraph untouched by used vertices; every
-        further (a, b) pair consumes one of its edges."""
-        remaining = frozenset(g.vertices) - used
-        if remaining not in residual_bound_cache:
-            sub_edges = g.induced(remaining)
-            if sub_edges:
-                touched = sorted({x for e in sub_edges for x in e})
-                relabel = {v: i + 1 for i, v in enumerate(touched)}
-                sub = Graph.from_edges(
-                    [(relabel[x], relabel[y]) for x, y in sub_edges],
-                    vertex_count=len(touched),
-                )
-                residual_bound_cache[remaining] = matching_number(sub)
-            else:
-                residual_bound_cache[remaining] = 0
-        return residual_bound_cache[remaining]
-
-    def extend(a_seq: list[int], b_seq: list[int], used: frozenset[int]) -> None:
+    def extend(used: int, blocked: int) -> None:
+        """Extend the current sequence; ``blocked`` is U | N(U)."""
         nonlocal best_len, best_cert
         r = len(a_seq)
         if r > best_len:
             best_len = r
             best_cert = FreeParameterCertificate(tuple(a_seq), tuple(b_seq))
-        if best_len == ceiling or r + residual_bound(used) <= best_len:
+        if best_len == ceiling or r + residual_bound(every & ~used) <= best_len:
             return
-        for a in g.vertices:
-            if a in used:
-                continue
-            # The new a may be adjacent to no chosen a (independence) and no
-            # chosen b (the triangular condition with i > j).
-            if any(g.has_edge(a, x) for x in a_seq) or any(
-                g.has_edge(a, x) for x in b_seq
-            ):
-                continue
-            for b in sorted(g.neighbors(a)):
-                if b in used:
+        # The new a may be adjacent to no chosen a (independence) and no
+        # chosen b (the triangular condition with i > j).
+        free = every & ~blocked
+        while free:
+            a_bit = free & -free
+            free ^= a_bit
+            a = a_bit.bit_length() - 1
+            partners = nbr[a] & ~used
+            while partners:
+                b_bit = partners & -partners
+                partners ^= b_bit
+                grown = used | a_bit | b_bit
+                if grown in seen:
                     continue
+                seen.add(grown)
+                b = b_bit.bit_length() - 1
                 a_seq.append(a)
                 b_seq.append(b)
-                extend(a_seq, b_seq, used | {a, b})
+                extend(grown, blocked | nbr[a] | nbr[b])
                 a_seq.pop()
                 b_seq.pop()
 
-    extend([], [], frozenset())
+    extend(0, 0)
     return GdimResult(best_len + 1, best_cert)
 
 
@@ -152,17 +174,11 @@ def gdim_bounds(g: Graph, budget: SearchBudget | None = None) -> GdimBounds:
     return GdimBounds(gamma_p // 2 + 1, nu + 1)
 
 
-def tree_gdim(g: Graph, budget: SearchBudget | None = None) -> int:
-    """For trees the dimension collapses to the matching number plus one;
-    cross-checked against the full search while the tree is within budget."""
+def tree_gdim(g: Graph) -> int:
+    """For trees the dimension collapses to the matching number plus one.
+
+    The formula is checked against the full search in the tests, not here.
+    """
     if not is_tree(g):
         raise NotATree("tree_gdim requires a connected graph with n-1 edges")
-    budget = budget or default_budget()
-    value = matching_number(g) + 1
-    if g.vertex_count <= budget.max_vertices and g.edge_count <= budget.max_edges:
-        full = graphical_dimension(g, budget).gdim
-        if full != value:  # pragma: no cover
-            raise AssertionError(
-                f"tree formula {value} disagrees with search {full}"
-            )
-    return value
+    return matching_number(g) + 1

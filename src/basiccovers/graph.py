@@ -140,11 +140,6 @@ class Graph:
             return self.names[v - 1]
         return str(v)
 
-    def induced(self, keep: set[int] | frozenset[int]) -> tuple[Edge, ...]:
-        """Edges of the subgraph induced on ``keep`` (which may be anything,
-        including sets that would leave vertices isolated)."""
-        return tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -535,8 +530,15 @@ def _edges_connected(g: Graph, e: Edge, f: Edge) -> bool:
 
 
 def check_values(g: Graph, values) -> tuple[int, ...]:
-    """Validate that ``values`` is one natural number per vertex."""
-    vals = tuple(int(x) for x in values)
+    """Validate that ``values`` is one natural number per vertex.
+
+    Values must be ints; bools, floats and strings are rejected rather than
+    coerced.
+    """
+    vals = tuple(values)
+    for x in vals:
+        if not _is_int(x):
+            raise MalformedInput(f"cover values must be integers, got {x!r}")
     if len(vals) != g.vertex_count:
         raise DimensionMismatch(
             f"expected {g.vertex_count} values, got {len(vals)}"

@@ -13,7 +13,7 @@ regularity bounds for the edge ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .budget import SearchBudget, default_budget
 from .complexes import independence_complex, is_shellable, is_strongly_connected
@@ -359,15 +359,7 @@ def cm_equivalence_report(
             f"equivalent conditions disagree: {report.computed()}"
         )
     common = verdicts.pop() if verdicts else None
-    return CmEquivalenceReport(
-        unique_perfect_matching=report.unique_perfect_matching,
-        unique_right_edge_perfect_matching=report.unique_right_edge_perfect_matching,
-        projection_fixed_point=report.projection_fixed_point,
-        independence_complex_shellable=report.independence_complex_shellable,
-        connected_in_codimension_one=report.connected_in_codimension_one,
-        cohen_macaulay=common,
-        skip_reasons=report.skip_reasons,
-    )
+    return replace(report, cohen_macaulay=common)
 
 
 def _count_right_perfect_matchings(g: Graph, budget: SearchBudget) -> int:

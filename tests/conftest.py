@@ -3,7 +3,7 @@
 The oracles deliberately avoid the production code paths they check:
 basic covers come from a full product scan with single-step descent,
 matchings from exhaustive enumeration, and free parameter sets from
-permutation search.
+permutation search with their own validity check.
 """
 
 from __future__ import annotations
@@ -159,17 +159,45 @@ def brute_force_paired_domination(g: Graph) -> int:
     return best
 
 
-def brute_force_gdim(g: Graph) -> int:
-    """Try every ordered vertex sequence pair (tiny graphs only)."""
-    from basiccovers.gdim import FreeParameterCertificate, is_free_parameter_set
+def brute_force_least_free_parameter_sequence(
+    g: Graph,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lexicographically least maximum-length free parameter sequence.
 
-    n = g.vertex_count
-    best = 0
+    Sequences compare as (a1, b1, a2, b2, ...).  Scans every pair of
+    ordered vertex sequences, longest first, and checks the definition
+    directly on the edge set (tiny graphs only).
+    """
+    edges = set(g.edges)
+
+    def adjacent(u: int, v: int) -> bool:
+        return (min(u, v), max(u, v)) in edges
+
+    def valid(a_seq: tuple[int, ...], b_seq: tuple[int, ...]) -> bool:
+        for i, ai in enumerate(a_seq):
+            if not adjacent(ai, b_seq[i]):
+                return False
+            for j in range(len(a_seq)):
+                if j != i and adjacent(ai, a_seq[j]):
+                    return False
+                if j < i and adjacent(ai, b_seq[j]):
+                    return False
+        return True
+
     verts = list(g.vertices)
-    for r in range(1, n // 2 + 1):
-        for a_seq in permutations(verts, r):
-            for b_seq in permutations([v for v in verts if v not in a_seq], r):
-                cert = FreeParameterCertificate(a_seq, b_seq)
-                if is_free_parameter_set(g, cert):
-                    best = max(best, r)
-    return best + 1
+    for r in range(len(verts) // 2, 0, -1):
+        found = [
+            tuple(x for pair in zip(a_seq, b_seq) for x in pair)
+            for a_seq in permutations(verts, r)
+            for b_seq in permutations([v for v in verts if v not in a_seq], r)
+            if valid(a_seq, b_seq)
+        ]
+        if found:
+            least = min(found)
+            return least[0::2], least[1::2]
+    raise AssertionError("every edge is a free parameter sequence of length 1")
+
+
+def brute_force_gdim(g: Graph) -> int:
+    """Longest free parameter sequence plus one, from the scan above."""
+    return len(brute_force_least_free_parameter_sequence(g)[0]) + 1

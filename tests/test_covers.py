@@ -48,6 +48,16 @@ def test_is_k_cover_basics():
     assert not is_k_cover(path_graph(6), (1, 0, 0, 1, 0, 1), 1)  # edge {2,3} uncovered
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[0.6, 0.6, 0.6], [1.0, 1.0, 1.0], ["1", "0", "1"], [True, 0, True]],
+)
+def test_is_k_cover_rejects_non_integer_values(values):
+    # int() would truncate 0.6 to 0 (a silent False) and accept "1" and True.
+    with pytest.raises(MalformedInput):
+        is_k_cover(path_graph(3), values, 1)
+
+
 def test_is_basic_examples(fixtures):
     assert is_basic(K2, Cover((1, 0), 1))
     assert not is_basic(K2, Cover((1, 1), 1))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basiccovers.budget import SearchBudget
 from basiccovers.covers import krull_dimension_estimate
@@ -22,6 +24,7 @@ from basiccovers.graph import (
 
 from conftest import (
     brute_force_gdim,
+    brute_force_least_free_parameter_sequence,
     fixture_items,
     random_connected_graph,
     random_tree,
@@ -76,6 +79,41 @@ def test_gdim_matches_permutation_oracle():
         assert graphical_dimension(g).gdim == brute_force_gdim(g)
 
 
+def _assert_least_certificate(g: Graph) -> None:
+    result = graphical_dimension(g)
+    a_seq, b_seq = brute_force_least_free_parameter_sequence(g)
+    assert (result.certificate.a_seq, result.certificate.b_seq) == (a_seq, b_seq)
+    assert result.gdim == len(a_seq) + 1
+    assert is_free_parameter_set(g, result.certificate)
+
+
+@pytest.mark.parametrize("name,g", fixture_items())
+def test_certificate_is_least_maximum_sequence_on_fixtures(name, g):
+    _assert_least_certificate(g)
+
+
+@st.composite
+def connected_graphs(draw) -> Graph:
+    seed = draw(st.integers(min_value=0, max_value=100_000))
+    n = draw(st.integers(min_value=2, max_value=7))
+    return random_connected_graph(random.Random(seed), n)
+
+
+@given(connected_graphs())
+@settings(max_examples=80, deadline=None)
+def test_certificate_is_least_maximum_sequence_random(g):
+    _assert_least_certificate(g)
+
+
+def test_c18_certificate():
+    result = graphical_dimension(cycle_graph(18))
+    assert result.gdim == 9
+    assert result.certificate.to_lines() == [
+        "A: 1 4 6 8 10 12 14 16",
+        "B: 2 3 5 7 9 11 13 15",
+    ]
+
+
 def test_gdim_budget():
     with pytest.raises(SearchBudgetExceeded):
         graphical_dimension(path_graph(25), SearchBudget.scaled(10))
@@ -110,8 +148,8 @@ def test_tree_gdim():
 def test_tree_formula_on_random_trees():
     rng = random.Random(37)
     for _ in range(60):
-        g = random_tree(rng, rng.randint(2, 10))
-        assert graphical_dimension(g).gdim == matching_number(g) + 1
+        g = random_tree(rng, rng.randint(2, 16))
+        assert tree_gdim(g) == graphical_dimension(g).gdim == matching_number(g) + 1
 
 
 def test_dimension_estimate_agrees_with_search():

@@ -142,6 +142,26 @@ def test_check_values_rejects_wrong_length():
         check_values(path_graph(3), (1, 0))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        (0.6, 0.6, 0.6),
+        (1.0, 0, 1),
+        ("1", "0", "1"),
+        (True, 0, True),
+        (1, None, 1),
+    ],
+)
+def test_check_values_rejects_non_integers(values):
+    with pytest.raises(MalformedInput):
+        check_values(path_graph(3), values)
+
+
+def test_check_values_accepts_any_int_sequence():
+    assert check_values(path_graph(3), [1, 0, 1]) == (1, 0, 1)
+    assert check_values(path_graph(3), iter((0, 2, 0))) == (0, 2, 0)
+
+
 # --- bipartition -------------------------------------------------------------
 
 
