@@ -8,7 +8,6 @@ reason, never silently dropped.  The table drives the CLI exit code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -64,9 +63,6 @@ class AnalysisReport:
             "sections": self.sections,
             "cross_checks": [row.to_dict() for row in self.cross_checks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = ["graph summary"]

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from operator import add
 
 from .budget import SearchBudget
-from .covers import Cover, enumerate_basic_covers, is_basic
+from .covers import Cover, _is_basic_k_cover, enumerate_basic_covers, is_basic
 from .errors import (
     DimensionMismatch,
     EquivalenceViolation,
@@ -35,7 +35,7 @@ from .poset import (
 from .projection import satisfies_wsc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StraighteningRelation:
     """One rewriting rule: the product of the incomparable pair ``left``
     equals the product of ``right`` when present, and zero otherwise."""
@@ -56,33 +56,55 @@ class StraighteningRelation:
         return f"{head} = {poset.label_of(m)}*{poset.label_of(j)}"
 
 
+# Key of the relation memo in a poset's instance dict, where cached
+# properties keep their values too.
+_RELATIONS_MEMO = "_straightening_relations"
+
+
 def straightening_relations(poset: CoverPoset) -> list[StraighteningRelation]:
     """One relation per unordered incomparable pair, in element order.
 
     Nonzero right sides are validated against the rewriting shape (the
     meet side strictly below both factors and at most the join side).
+    The relations are computed once per poset; every call returns a new
+    list of them.
     """
-    relations: list[StraighteningRelation] = []
-    for x, y in combinations(poset.elements, 2):
-        if poset.leq(x, y) or poset.leq(y, x):
-            continue
-        meet = meet_values(poset, x, y)
-        join = join_values(poset, x, y)
-        if is_basic(poset.graph, meet) and is_basic(poset.graph, join):
+    relations = poset.__dict__.get(_RELATIONS_MEMO)
+    if relations is None:
+        relations = poset.__dict__[_RELATIONS_MEMO] = tuple(_straighten(poset))
+    return list(relations)
+
+
+def _straighten(poset: CoverPoset) -> Iterator[StraighteningRelation]:
+    g, elements = poset.graph, poset.elements
+    up, down = poset.up_sets, poset.down_sets
+    for i, x in enumerate(elements):
+        related = up[i] | down[i]
+        for j in range(i + 1, len(elements)):
+            if related >> j & 1:
+                continue
+            y = elements[j]
+            meet = meet_values(poset, x, y)
+            join = join_values(poset, x, y)
             if not (
-                poset.leq(meet, join)
-                and poset.leq(meet, x)
-                and meet != x
-                and poset.leq(meet, y)
-                and meet != y
+                _is_basic_k_cover(g, meet.values, 1)
+                and _is_basic_k_cover(g, join.values, 1)
+            ):
+                yield StraighteningRelation((x, y), None)
+                continue
+            # Both are basic 1-covers, hence elements of the poset.
+            m, t = poset.index_of(meet), poset.index_of(join)
+            if not (
+                down[t] >> m & 1
+                and down[i] >> m & 1
+                and m != i
+                and down[j] >> m & 1
+                and m != j
             ):  # pragma: no cover
                 raise EquivalenceViolation(
                     "straightening right side violates the rewriting shape"
                 )
-            relations.append(StraighteningRelation((x, y), (meet, join)))
-        else:
-            relations.append(StraighteningRelation((x, y), None))
-    return relations
+            yield StraighteningRelation((x, y), (elements[m], elements[t]))
 
 
 def verify_sum_identity(poset: CoverPoset, x: Cover, y: Cover) -> bool:
@@ -122,31 +144,40 @@ def multichain_to_cover(poset: CoverPoset, chain) -> Cover:
     return total
 
 
-def _multichains(poset: CoverPoset, d: int) -> Iterator[tuple[Cover, ...]]:
-    """Every weakly increasing d-element sequence, grown as index tuples
-    along the up-lists."""
-    ups = poset.up_lists
-    chains = [(i,) for i in range(len(poset.elements))]
-    for _ in range(d - 1):
-        chains = [chain + (j,) for chain in chains for j in ups[chain[-1]]]
-    return (tuple(poset.elements[i] for i in chain) for chain in chains)
-
-
 def verify_asl1(
     poset: CoverPoset, d: int, budget: SearchBudget | None = None
 ) -> bool:
     """Is the multichain-to-cover map a bijection onto the basic d-covers?
 
     Both sides are produced independently: multichains by direct
-    enumeration over the poset, covers by the exact cover search.
+    enumeration over the poset, covers by the exact cover search.  The
+    multichains grow one element at a time along the up-lists, each
+    carrying its value sum; every d-element sum must be a basic d-cover,
+    as :func:`multichain_to_cover` requires.
     """
     if d < 1:
         raise NotAMultichain("degree must be >= 1")
-    images = [multichain_to_cover(poset, chain) for chain in _multichains(poset, d)]
-    if len(set(images)) != len(images):
+    g, ups = poset.graph, poset.up_lists
+    values = [c.values for c in poset.elements]
+    # (last element, value sum) of every multichain, one element longer per
+    # level.  The levels are chained generators, so none is held in full.
+    chains = enumerate(values)
+    for _ in range(d - 1):
+        chains = (
+            (j, tuple(map(add, total, values[j])))
+            for i, total in chains
+            for j in ups[i]
+        )
+    images: set[tuple[int, ...]] = set()
+    count = 0
+    for _, total in chains:
+        if not _is_basic_k_cover(g, total, d):
+            raise SumNotBasic("a multichain summed to a non-basic cover")
+        images.add(total)
+        count += 1
+    if len(images) != count:
         return False
-    covers = set(enumerate_basic_covers(poset.graph, d, budget))
-    return set(images) == covers
+    return images == {c.values for c in enumerate_basic_covers(g, d, budget)}
 
 
 @dataclass(frozen=True)

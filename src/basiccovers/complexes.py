@@ -12,6 +12,7 @@ answer is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .budget import SearchBudget, default_budget
 from .errors import MalformedInput, NotPure
@@ -34,17 +35,28 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":
-        # Drop faces contained in others, deduplicate, sort deterministically.
-        sets = {frozenset(f) for f in facets}
-        maximal = [f for f in sets if not any(f < h for h in sets)]
-        return cls(tuple(sorted(maximal, key=lambda f: (len(f), sorted(map(str, f))))))
+        """The complex generated by ``facets``: faces contained in others are
+        dropped, repeats merged, and the rest sorted deterministically.
 
-    @property
-    def ground_set(self) -> frozenset:
-        out: set = set()
-        for f in self.facets:
-            out |= f
-        return frozenset(out)
+        That scan already guarantees what the constructor checks, so the
+        result is built without repeating it.
+        """
+        sets = {frozenset(f) for f in facets}
+        if not sets:
+            raise MalformedInput("a complex needs at least one facet")
+        # Largest first: a face lies in some larger set exactly when it lies
+        # in a larger maximal one, and same-size sets never contain another.
+        maximal: list[frozenset] = []
+        for _, group in groupby(sorted(sets, key=len, reverse=True), key=len):
+            larger = tuple(maximal)
+            maximal += [f for f in group if not any(f < h for h in larger)]
+        complex_ = object.__new__(cls)
+        object.__setattr__(
+            complex_,
+            "facets",
+            tuple(sorted(maximal, key=lambda f: (len(f), sorted(map(str, f))))),
+        )
+        return complex_
 
     @property
     def is_pure(self) -> bool:

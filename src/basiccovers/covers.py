@@ -44,9 +44,6 @@ class Cover:
     def value(self, v: int) -> int:
         return self.values[v - 1]
 
-    def restrict(self, vertices) -> tuple[int, ...]:
-        return tuple(self.values[v - 1] for v in sorted(vertices))
-
     def to_line(self) -> str:
         return f"k={self.level} " + " ".join(str(x) for x in self.values)
 
@@ -62,8 +59,10 @@ class Cover:
 def is_k_cover(g: Graph, values, k: int) -> bool:
     """True iff ``values`` is a nonzero assignment with every edge summing to >= k."""
     vals = check_values(g, values)
-    if not any(vals):
-        return False
+    return any(vals) and _covers_edges(g, vals, k)
+
+
+def _covers_edges(g: Graph, vals: tuple[int, ...], k: int) -> bool:
     return all(vals[u - 1] + vals[v - 1] >= k for u, v in g.edges)
 
 
@@ -73,18 +72,21 @@ def is_basic(g: Graph, cover: Cover) -> bool:
     Tightness characterises basicness: if some positive vertex has all its
     edge sums strictly above k, decrementing it leaves a smaller k-cover.
     """
-    if not is_k_cover(g, cover.values, cover.level):
-        raise NotACover(f"values are not a {cover.level}-cover")
-    return _is_basic_values(g, cover.values, cover.level)
+    return _is_basic_k_cover(g, check_values(g, cover.values), cover.level)
+
+
+def _is_basic_k_cover(g: Graph, vals: tuple[int, ...], k: int) -> bool:
+    """:func:`is_basic` for values already known to be one natural number
+    per vertex, such as sums and mixes of poset elements."""
+    if not (any(vals) and _covers_edges(g, vals, k)):
+        raise NotACover(f"values are not a {k}-cover")
+    return _is_basic_values(g, vals, k)
 
 
 def _is_basic_values(g: Graph, vals: tuple[int, ...], k: int) -> bool:
-    adjacency = g.adjacency
-    for v in range(1, g.vertex_count + 1):
-        x = vals[v - 1]
-        if x == 0:
-            continue
-        if all(x + vals[w - 1] != k for w in adjacency[v - 1]):
+    get = vals.__getitem__
+    for x, nbrs in zip(vals, g.index_adjacency):
+        if x and k - x not in map(get, nbrs):
             return False
     return True
 
@@ -179,48 +181,55 @@ def _basic_cover_search(g: Graph, k: int) -> list[tuple[int, ...]]:
         [position[w] for w in g.neighbors(order[i])] for i in range(n)
     ]
     unassigned_nbrs = [len(nbrs[i]) for i in range(n)]
+    # Search position of each vertex, in label order, for reading out a leaf.
+    slots = [position[v] for v in g.vertices]
     values = [-1] * n
     found: list[tuple[int, ...]] = []
 
     def tight(i: int) -> bool:
-        x = values[i]
-        return any(values[j] >= 0 and x + values[j] == k for j in nbrs[i])
+        # Unassigned vertices hold -1, and every value lies in [0, k].
+        need = k - values[i]
+        for j in nbrs[i]:
+            if values[j] == need:
+                return True
+        return False
 
     def assign(i: int) -> None:
         if i == n:
-            vals = tuple(values[position[v]] for v in range(1, n + 1))
+            vals = tuple(map(values.__getitem__, slots))
             if _is_basic_values(g, vals, k):
                 found.append(vals)
             return
+        mine = nbrs[i]
         lo = 0
-        for j in nbrs[i]:
+        for j in mine:
             if values[j] >= 0:
                 lo = max(lo, k - values[j])
-        if lo > k:
-            return
-        for x in range(lo, k + 1):
+        for j in mine:
+            unassigned_nbrs[j] -= 1
+        # A vertex with no unassigned neighbours left can never gain a tight
+        # edge later, so its value must be zero or tight already.  For i
+        # itself, with every neighbour placed, only x = lo is: it is tight
+        # against the smallest neighbour value, and a larger x is tight
+        # against none.  A positive neighbour j that i closes, and that no
+        # other neighbour makes tight, forces x = k - value(j).
+        top = lo if unassigned_nbrs[i] == 0 else k
+        for j in mine:
+            if values[j] > 0 and unassigned_nbrs[j] == 0 and not tight(j):
+                need = k - values[j]
+                lo, top = max(lo, need), min(top, need)
+        for x in range(lo, top + 1):
             values[i] = x
-            for j in nbrs[i]:
-                unassigned_nbrs[j] -= 1
-            # A vertex with no unassigned neighbours left can never gain a
-            # tight edge later; positive values must be tight already.
-            ok = not (x > 0 and unassigned_nbrs[i] == 0 and not tight(i))
-            if ok:
-                for j in nbrs[i]:
-                    if (
-                        values[j] > 0
-                        and unassigned_nbrs[j] == 0
-                        and not tight(j)
-                    ):
-                        ok = False
-                        break
-            if ok:
-                assign(i + 1)
-            for j in nbrs[i]:
-                unassigned_nbrs[j] += 1
+            assign(i + 1)
+        for j in mine:
+            unassigned_nbrs[j] += 1
         values[i] = -1
 
     assign(0)
+    # assign refers to itself through its closure; clearing the name breaks
+    # that cycle, so the search's lists are freed on return rather than at
+    # the next cyclic garbage collection.
+    del assign
     return found
 
 

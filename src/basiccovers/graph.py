@@ -12,7 +12,7 @@ searches are exact: branch-and-bound or subset search guarded by a
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations
 
@@ -105,6 +105,11 @@ class Graph:
         n = vertex_count if vertex_count is not None else max(v for _, v in canon)
         return cls(n, tuple(canon), names)
 
+    def __getstate__(self) -> dict:
+        # Only the fields: cached values are rebuilt on demand, and the
+        # cover-poset memo is a weak reference, which cannot be pickled.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         """Neighbour sets, indexed so that ``adjacency[v - 1]`` serves vertex v."""
@@ -113,6 +118,12 @@ class Graph:
             nbrs[u - 1].add(v)
             nbrs[v - 1].add(u)
         return tuple(frozenset(s) for s in nbrs)
+
+    @cached_property
+    def index_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """0-based neighbour indices, ascending: ``index_adjacency[v - 1]``
+        holds ``w - 1`` for each neighbour w of vertex v."""
+        return tuple(tuple(sorted(w - 1 for w in s)) for s in self.adjacency)
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -385,29 +396,6 @@ def _general_matching_number(g: Graph) -> int:
         return best
 
     return recurse(frozenset(g.vertices), 0, 0)
-
-
-def enumerate_matchings(g: Graph) -> list[Matching]:
-    """All matchings of g, the empty one included (exhaustive, test oracle)."""
-    edges = g.edges
-    out: list[frozenset[Edge]] = []
-
-    def extend(index: int, chosen: list[Edge], used: set[int]) -> None:
-        out.append(frozenset(chosen))
-        for i in range(index, len(edges)):
-            u, v = edges[i]
-            if u in used or v in used:
-                continue
-            chosen.append(edges[i])
-            used.add(u)
-            used.add(v)
-            extend(i + 1, chosen, used)
-            chosen.pop()
-            used.discard(u)
-            used.discard(v)
-
-    extend(0, [], set())
-    return [Matching(e) for e in out]
 
 
 def enumerate_perfect_matchings(

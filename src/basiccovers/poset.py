@@ -12,11 +12,12 @@ combinatorially.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .budget import SearchBudget
+from .budget import SearchBudget, default_budget
 from .complexes import SimplicialComplex, is_shellable, is_strongly_connected
 from .covers import Cover, enumerate_basic_covers, is_basic
 from .errors import (
@@ -38,7 +39,7 @@ class CoverPoset:
     side_b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        patterns = [self.pattern_of(c) for c in self.elements]
+        patterns = self._patterns
         if len(set(patterns)) != len(patterns):
             # A basic 1-cover is determined by its A-side values, so a
             # repeat means the construction is broken.
@@ -49,8 +50,20 @@ class CoverPoset:
     def pattern_of(self, cover: Cover) -> tuple[int, ...]:
         return tuple(cover.values[a - 1] for a in self.side_a)
 
+    @cached_property
+    def _patterns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.pattern_of(c) for c in self.elements)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The A-side pattern of each element as a digit string."""
+        return tuple(_label(p) for p in self._patterns)
+
     def label_of(self, cover: Cover) -> str:
-        return "".join(str(x) for x in self.pattern_of(cover))
+        """The A-side pattern of ``cover`` as a digit string; read from
+        :attr:`labels` when the cover is an element."""
+        i = self._index.get(cover)
+        return self.labels[i] if i is not None else _label(self.pattern_of(cover))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -67,7 +80,7 @@ class CoverPoset:
 
     @cached_property
     def _leq_matrix(self) -> tuple[tuple[bool, ...], ...]:
-        pats = [self.pattern_of(c) for c in self.elements]
+        pats = self._patterns
         return tuple(
             tuple(all(p <= q for p, q in zip(pi, pj)) for pj in pats) for pi in pats
         )
@@ -180,29 +193,49 @@ class CoverPoset:
         return self.height_range[1]
 
     def maximal_chains(self) -> list[tuple[Cover, ...]]:
+        elements = self.elements
+        return [tuple(elements[i] for i in chain) for chain in self._index_chains()]
+
+    def _index_chains(self) -> list[tuple[int, ...]]:
+        """Maximal chains as index tuples, from each minimal element up the
+        Hasse diagram, lowest index first at every step."""
         n = len(self.elements)
+        # cover_relations lists (i, j) by ascending i, then ascending j.
         ups: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.cover_relations:
             ups[i].append(j)
-        minimal = [i for i in range(n) if self.down_sets[i] == 1 << i]
-        chains: list[tuple[Cover, ...]] = []
-
-        def walk(i: int, acc: list[int]) -> None:
-            if not ups[i]:
-                chains.append(tuple(self.elements[j] for j in acc))
-                return
-            for j in sorted(ups[i]):
-                walk(j, acc + [j])
-
-        for i in sorted(minimal):
-            walk(i, [i])
+        chains: list[tuple[int, ...]] = []
+        # Depth first; pushing in descending order pops the lowest first.
+        stack = [(i,) for i in reversed(range(n)) if self.down_sets[i] == 1 << i]
+        while stack:
+            chain = stack.pop()
+            above = ups[chain[-1]]
+            if above:
+                stack.extend(chain + (j,) for j in reversed(above))
+            else:
+                chains.append(chain)
         return chains
 
-    def hasse_lines(self) -> list[str]:
-        return sorted(
-            f"{self.label_of(self.elements[i])} < {self.label_of(self.elements[j])}"
-            for i, j in self.cover_relations
+    @cached_property
+    def _order_complex(self) -> SimplicialComplex:
+        labels = self.labels
+        return SimplicialComplex.from_facets(
+            frozenset(labels[i] for i in chain) for chain in self._index_chains()
         )
+
+    def hasse_lines(self) -> list[str]:
+        labels = self.labels
+        return sorted(f"{labels[i]} < {labels[j]}" for i, j in self.cover_relations)
+
+
+def _label(pattern: tuple[int, ...]) -> str:
+    return "".join(map(str, pattern))
+
+
+# The graph's instance dict holds a weak reference to its "smaller" poset,
+# so the poset (which holds the graph) and the graph form no cycle, and the
+# memo lasts exactly as long as some caller keeps the poset.
+_POSET_MEMO = "_cover_poset"
 
 
 def build_poset(
@@ -212,7 +245,20 @@ def build_poset(
 
     ``side`` is ``"smaller"`` (the default, |A| <= |B|) or ``"larger"``,
     which yields the order-dual poset and exists for the duality tests.
+
+    The ``"smaller"`` poset is memoised per graph instance for as long as
+    a caller holds it, so the reports that take a graph reuse the poset
+    the caller built.  A memo hit still checks the graph against
+    ``budget``, exactly as building it would.
     """
+    if side == "smaller":
+        ref = g.__dict__.get(_POSET_MEMO)
+        poset = ref() if ref is not None else None
+        if poset is not None:
+            (budget or default_budget()).check_graph(
+                g.vertex_count, g.edge_count, "enumerate_basic_covers"
+            )
+            return poset
     side_a, side_b = require_bipartite(g)
     if side == "larger":
         side_a, side_b = side_b, side_a
@@ -224,7 +270,10 @@ def build_poset(
     elements = tuple(
         sorted(elements, key=lambda c: tuple(c.values[v - 1] for v in a))
     )
-    return CoverPoset(g, elements, a, b)
+    poset = CoverPoset(g, elements, a, b)
+    if side == "smaller":
+        g.__dict__[_POSET_MEMO] = weakref.ref(poset)
+    return poset
 
 
 # --- meet / join candidates ---------------------------------------------------
@@ -361,16 +410,6 @@ class BirkhoffPoset:
     def leq(self, x: str, y: str) -> bool:
         return x == y or (x, y) in self.relation
 
-    def order_ideals(self) -> list[frozenset[str]]:
-        ideals: list[frozenset[str]] = []
-        elems = self.elements
-        for r in range(len(elems) + 1):
-            for subset in combinations(elems, r):
-                s = frozenset(subset)
-                if all(x in s for y in s for x in elems if self.leq(x, y)):
-                    ideals.append(s)
-        return ideals
-
     def maximal_chain_lengths(self) -> set[int]:
         downs = {
             y: [x for x in self.elements if x != y and self.leq(x, y)]
@@ -398,7 +437,7 @@ def birkhoff_poset(poset: CoverPoset) -> BirkhoffPoset:
     for i, j in poset.cover_relations:
         lower_covers[j].append(i)
     irreducible = [j for j, lows in lower_covers.items() if len(lows) == 1]
-    labels = {j: poset.label_of(poset.elements[j]) for j in irreducible}
+    labels = {j: poset.labels[j] for j in irreducible}
     relation = frozenset(
         (labels[i], labels[j])
         for i in irreducible
@@ -417,12 +456,9 @@ def is_pure_poset(p: BirkhoffPoset) -> bool:
 
 
 def order_complex(poset: CoverPoset) -> SimplicialComplex:
-    """Faces are the chains of the poset; facets are its maximal chains."""
-    facets = [
-        frozenset(poset.label_of(c) for c in chain)
-        for chain in poset.maximal_chains()
-    ]
-    return SimplicialComplex.from_facets(facets)
+    """Faces are the chains of the poset; facets are its maximal chains,
+    labelled by A-side pattern.  Built once per poset."""
+    return poset._order_complex
 
 
 def count_multichains(poset: CoverPoset, d: int) -> int:

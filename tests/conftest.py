@@ -15,7 +15,7 @@ import pytest
 
 from basiccovers.covers import is_k_cover
 from basiccovers.fixtures import FIXTURE_NAMES, corpus, verify_corpus
-from basiccovers.graph import Graph
+from basiccovers.graph import Graph, Matching
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -145,6 +145,22 @@ def brute_force_matching_number(g: Graph) -> int:
 
     extend(0, set(), 0)
     return best
+
+
+def enumerate_matchings(g: Graph) -> list[Matching]:
+    """All matchings of g, the empty one included, by exhaustive search."""
+    edges = g.edges
+    out: list[frozenset] = []
+
+    def extend(index: int, chosen: list, used: set[int]) -> None:
+        out.append(frozenset(chosen))
+        for i in range(index, len(edges)):
+            u, v = edges[i]
+            if u not in used and v not in used:
+                extend(i + 1, chosen + [edges[i]], used | {u, v})
+
+    extend(0, [], set())
+    return [Matching(e) for e in out]
 
 
 def brute_force_paired_domination(g: Graph) -> int:

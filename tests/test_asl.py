@@ -13,7 +13,7 @@ from basiccovers.asl import (
     verify_sum_identity,
 )
 from basiccovers.covers import Cover, is_basic
-from basiccovers.errors import NotAMultichain, NotBipartite
+from basiccovers.errors import NotAMultichain, NotBipartite, SumNotBasic
 from basiccovers.graph import Graph, complete_bipartite, cycle_graph, path_graph
 from basiccovers.poset import build_poset
 
@@ -173,7 +173,37 @@ def test_asl1_fails_when_the_cover_search_drops_a_cover(monkeypatch, fixtures):
     assert not verify_asl1(p, 2)
 
 
+def test_asl1_raises_when_a_multichain_sum_is_not_basic(monkeypatch, fixtures):
+    # Every d-element sum is checked; a failed basicness check is a broken
+    # correspondence, not a False answer.
+    from basiccovers import covers
+
+    p = build_poset(fixtures["E7"])
+    monkeypatch.setattr(covers, "_is_basic_values", lambda g, vals, k: False)
+    with pytest.raises(SumNotBasic):
+        verify_asl1(p, 2)
+
+
 # --- the domain report -------------------------------------------------------------------
+
+
+def test_domain_report_reuses_the_held_poset_and_relations(monkeypatch, fixtures):
+    from basiccovers import asl
+
+    g = fixtures["E8"]
+    p = build_poset(g)
+    first = straightening_relations(p)
+    second = straightening_relations(p)
+    assert first == second and first is not second
+    second.clear()
+    assert straightening_relations(p) == first
+
+    def no_recompute(poset):
+        raise AssertionError("the relations were recomputed")
+
+    monkeypatch.setattr(asl, "_straighten", no_recompute)
+    report = is_domain_report(g)
+    assert not report.verdict and not report.all_straightenings_nonzero
 
 
 def test_domain_report_values(fixtures):

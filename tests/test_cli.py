@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,69 @@ def test_byte_identical_output(capsys, corpus_dir):
     _, first, _ = run(capsys, ["analyze", str(corpus_dir / "e8.edges"), "--max-h", "5"])
     _, second, _ = run(capsys, ["analyze", str(corpus_dir / "e8.edges"), "--max-h", "5"])
     assert first == second
+
+
+# sha256 of "exit <code>\n" + stdout + stderr for each fixture and command,
+# recorded before the cover poset was memoised and its kernels moved to
+# index and value tuples.  A refactor must leave every one unchanged; a
+# change that moves one changes what users see and must say so.
+GOLDEN_COMMANDS = {
+    "analyze": ["analyze"],
+    "analyze-structured": ["--format", "structured", "analyze"],
+    "poset": ["poset"],
+    "poset-structured": ["--format", "structured", "poset"],
+}
+GOLDEN_SHA256 = {
+    ("K2", "analyze"): "78a26d006bd10321e7f5a159a30cc6047bbddb4b83941fd6afba375f70a8bd18",
+    ("K2", "analyze-structured"): "1d13fdb8dbb6418350426f2ffef2d9408a38c88b56e6f1c0852e54b800dedf3e",
+    ("K2", "poset"): "0722fffb87d6ae43d2762339473bd383a0fe7946bf3024907af245c25092660e",
+    ("K2", "poset-structured"): "a3c81edd8fe0c6651c2352f60e11a3a433f2531b50d3e83d7e043894ff2c1a5b",
+    ("P6", "analyze"): "2dbc6f24c2bb3ea56fa7d3a157a73eee1d45ef0c4176ba4aab8c324052e514fa",
+    ("P6", "analyze-structured"): "3ab1f7877ea2d86368e720c3ccaf145497b60a5cb2ca75562631717f8e33662f",
+    ("P6", "poset"): "8dcfbee7c74596c532d5cd9b070b2470a00ad1a4104bba6c676a81dd7b3b7313",
+    ("P6", "poset-structured"): "8dcfbee7c74596c532d5cd9b070b2470a00ad1a4104bba6c676a81dd7b3b7313",
+    ("STAR3", "analyze"): "59f39858622f39f515b884aed602a16890eff1b440890b7da03b1f9bff56ff6e",
+    ("STAR3", "analyze-structured"): "e0fe901d32d054428d7f1ae361fcc697c77306723ca2872e961474784ad102a6",
+    ("STAR3", "poset"): "0722fffb87d6ae43d2762339473bd383a0fe7946bf3024907af245c25092660e",
+    ("STAR3", "poset-structured"): "a3c81edd8fe0c6651c2352f60e11a3a433f2531b50d3e83d7e043894ff2c1a5b",
+    ("C4", "analyze"): "0d6d53c83b12af538770e3ce1ba40fe2bbe15a27957586afc1d7777457e2c6ed",
+    ("C4", "analyze-structured"): "2266f5e6000ff6b798df998ff87ed5e7677d1314071fb06d7b8af948d1161ed5",
+    ("C4", "poset"): "4362e192c12350ad27024ea02ab0dec038a96a3b306929870f2da767122f2a1a",
+    ("C4", "poset-structured"): "1345f4da12cfb3dd681cbb798a52a5cd03b02f86fcb6ea457bd442f9eccd836c",
+    ("C5", "analyze"): "4f718174b567338998088f7d68db670d78aaa609a379b19c462462cd80750ff8",
+    ("C5", "analyze-structured"): "39011891efc83bcddb7280e4da042b31db4fd172bce2fcb39a4c891119f30566",
+    ("C5", "poset"): "41f459c7a0a4673d994d48460f67cf41d988d41fe96ccfc421cc8fed3c12eeef",
+    ("C5", "poset-structured"): "41f459c7a0a4673d994d48460f67cf41d988d41fe96ccfc421cc8fed3c12eeef",
+    ("C6", "analyze"): "0e5ffab626ae6ac36a178523c87a7dddc32269b7834d3d61aed157fea9e11fc3",
+    ("C6", "analyze-structured"): "378ab549897b342cd257e9044ebccaec562f84e9c4c5fe2608f6c16fc7f9adb1",
+    ("C6", "poset"): "49ff92dcdf85e6bfdeda41e8099fb5261cf9a44eadabc2f9fe2929d5f447e29e",
+    ("C6", "poset-structured"): "5b3cd512b575f90fabcbd534b24dcebb1aab9a608a84a23793d9121e37e7804f",
+    ("K23", "analyze"): "4d924cb31a9810c8addb42c6935f6e82b67e0d25e634dc2ea9dbee1c42509e0b",
+    ("K23", "analyze-structured"): "a6264c834eb3697f13a569baf485564a57a6118a97babcb407c4002cdb438bb0",
+    ("K23", "poset"): "4362e192c12350ad27024ea02ab0dec038a96a3b306929870f2da767122f2a1a",
+    ("K23", "poset-structured"): "1345f4da12cfb3dd681cbb798a52a5cd03b02f86fcb6ea457bd442f9eccd836c",
+    ("E7", "analyze"): "a6b5605289e06d14ccb09a5514b98567bad21ed229208c9403a0da0294001bc4",
+    ("E7", "analyze-structured"): "f54eff44a4f0e852ff24b585394efdf05f69fd147463b4d7679536d062f9adf6",
+    ("E7", "poset"): "ac7512f43c5930359c30d77bb2935d49a568e3fa39f1968832e4fc3b387e3efd",
+    ("E7", "poset-structured"): "643202c24811a38bfd554920df8ff0f47d154145abb9850aeb21be9c119105c8",
+    ("E8", "analyze"): "421275da6bc094c543857311abad13f53e8a5c86f485292e24998f81de594163",
+    ("E8", "analyze-structured"): "8cb6d04681fe2f8ba7a7c08e3df32d87da8709c015a8b0fcc8b43d26dfa34495",
+    ("E8", "poset"): "8b932459891ebbe72d2a82ba1d786390f82d652d3b014c378ff16d7c80ca5d46",
+    ("E8", "poset-structured"): "7402f8b69cc824fa1ce162998d8d184c67bcc8fd5e8c09b63ff4a6b6b7862d6e",
+}
+
+
+@pytest.mark.parametrize("fixture,command", sorted(GOLDEN_SHA256))
+def test_golden_output(capsys, corpus_dir, fixture, command):
+    argv = GOLDEN_COMMANDS[command] + [str(corpus_dir / f"{fixture.lower()}.edges")]
+    code, out, err = run(capsys, argv)
+    doc = f"exit {code}\n{out}{err}"
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_SHA256[fixture, command]
+
+
+def test_golden_output_covers_every_fixture():
+    assert {name for name, _ in GOLDEN_SHA256} == set(FIXTURE_NAMES)
+    assert {command for _, command in GOLDEN_SHA256} == set(GOLDEN_COMMANDS)
 
 
 def test_input_error_exit_code(capsys, tmp_path):

@@ -18,7 +18,6 @@ from basiccovers.graph import (
     check_values,
     complete_bipartite,
     cycle_graph,
-    enumerate_matchings,
     enumerate_perfect_matchings,
     graph_to_text,
     induced_matching_number,
@@ -34,6 +33,7 @@ from basiccovers.budget import SearchBudget
 from conftest import (
     brute_force_matching_number,
     brute_force_paired_domination,
+    enumerate_matchings,
     fixture_items,
     random_connected_graph,
 )

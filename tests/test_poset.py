@@ -52,6 +52,17 @@ def element(poset, label):
     return next(c for c in poset.elements if poset.label_of(c) == label)
 
 
+def order_ideals(bp: BirkhoffPoset) -> list[frozenset[str]]:
+    """Every down-closed subset of a Birkhoff poset, by exhaustive search."""
+    elems = bp.elements
+    return [
+        frozenset(subset)
+        for r in range(len(elems) + 1)
+        for subset in combinations(elems, r)
+        if all(x in subset for y in subset for x in elems if bp.leq(x, y))
+    ]
+
+
 # --- an order-theoretic oracle sharing no code with poset.py ----------------
 #
 # Infimum and supremum straight from the definition: the greatest common
@@ -220,7 +231,11 @@ def test_rank_and_purity_match_maximal_chains():
             p = build_poset(g)
         except NotBipartite:
             continue
-        lengths = {len(chain) - 1 for chain in p.maximal_chains()}
+        chains = p.maximal_chains()
+        # Depth first from the lowest minimal element, lowest cover first.
+        indices = [[p.index_of(c) for c in chain] for chain in chains]
+        assert indices == sorted(indices), g.edges
+        lengths = {len(chain) - 1 for chain in chains}
         assert rank(p) == max(lengths), g.edges
         assert is_pure(p) == (len(lengths) == 1), g.edges
 
@@ -347,7 +362,7 @@ def test_birkhoff_e7(fixtures):
     assert bp.elements == ("100", "101", "110")
     assert sorted(bp.relation) == [("100", "101"), ("100", "110")]
     assert is_pure_poset(bp)
-    assert len(bp.order_ideals()) == len(p)
+    assert len(order_ideals(bp)) == len(p)
 
 
 def test_birkhoff_k2():
@@ -371,7 +386,7 @@ def test_birkhoff_round_trip():
             image[p.label_of(x)] = frozenset(
                 j for j in irreducibles if p.leq(element(p, j), x)
             )
-        ideals = set(bp.order_ideals())
+        ideals = set(order_ideals(bp))
         assert set(image.values()) == ideals
         labels = [p.label_of(c) for c in p.elements]
         for a in labels:
@@ -445,10 +460,33 @@ def test_independence_complexes():
 
 
 def test_no_facet_containment():
+    # from_facets skips the constructor's scan; the constructor still
+    # refuses a facet inside another, in either order, and a repeat.
+    f, h = frozenset({1}), frozenset({1, 2})
+    for facets in ((f, h), (h, f), (h, h), ()):
+        with pytest.raises(MalformedInput):
+            SimplicialComplex(facets)
     with pytest.raises(MalformedInput):
-        SimplicialComplex((frozenset({1}), frozenset({1, 2})))
+        SimplicialComplex.from_facets([])
     merged = SimplicialComplex.from_facets([{1}, {1, 2}, {2, 3}])
     assert merged.facets == (frozenset({1, 2}), frozenset({2, 3}))
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(min_value=1, max_value=6), min_size=1),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_from_facets_keeps_exactly_the_maximal_sets(sets):
+    complex_ = SimplicialComplex.from_facets(sets)
+    maximal = {f for f in sets if not any(f < h for h in sets)}
+    assert set(complex_.facets) == maximal
+    assert len(complex_.facets) == len(maximal)
+    # What from_facets builds passes the constructor's own check.
+    assert SimplicialComplex(complex_.facets) == complex_
 
 
 def test_strong_connectivity(fixtures):
@@ -521,3 +559,86 @@ def test_rank_plus_one_is_gdim():
         except NotBipartite:
             continue
         assert rank(p) + 1 == graphical_dimension(g).gdim, name
+
+
+# --- the per-graph poset memo -------------------------------------------------------
+
+
+def test_build_poset_memo_returns_the_held_poset():
+    g = path_graph(6)
+    p = build_poset(g)
+    assert build_poset(g) is p
+    assert build_poset(g, SearchBudget()) is p
+    # An equal graph is another instance with its own poset.
+    assert build_poset(path_graph(6)) is not p
+    assert order_complex(p) is order_complex(p)
+
+
+def test_reports_reuse_the_held_poset(monkeypatch):
+    from basiccovers import poset as poset_module
+
+    g = path_graph(7)
+    p = build_poset(g)
+    expected = cohen_macaulay_report(path_graph(7))
+
+    def no_rebuild(*args):
+        raise AssertionError("the poset was rebuilt")
+
+    monkeypatch.setattr(poset_module, "enumerate_basic_covers", no_rebuild)
+    assert cohen_macaulay_report(g) == expected
+    assert build_poset(g) is p
+
+
+def test_build_poset_memo_hit_checks_the_budget():
+    g = path_graph(6)
+    p = build_poset(g)
+    tiny = SearchBudget(max_vertices=3, max_edges=9)
+    with pytest.raises(SearchBudgetExceeded) as hit:
+        build_poset(g, tiny)
+    with pytest.raises(SearchBudgetExceeded) as miss:
+        build_poset(path_graph(6), tiny)
+    assert str(hit.value) == str(miss.value)
+    assert build_poset(g) is p
+
+
+def test_larger_side_poset_is_not_memoised():
+    g = path_graph(5)
+    q = build_poset(g, side="larger")
+    p = build_poset(g)
+    assert p is not q and len(p.side_a) < len(q.side_a)
+    again = build_poset(g, side="larger")
+    assert again is not q and again is not p
+    assert build_poset(g) is p
+
+
+def test_poset_memo_makes_no_reference_cycle():
+    import gc
+    import weakref
+
+    from basiccovers.asl import is_domain_report
+
+    gc.disable()
+    try:
+        g = path_graph(8)
+        p = build_poset(g)
+        # Fill every memo the reports use.
+        order_complex(p)
+        cohen_macaulay_report(g)
+        is_domain_report(g)
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+        assert build_poset(g) is not None
+    finally:
+        gc.enable()
+
+
+def test_graph_with_a_memoised_poset_pickles():
+    import pickle
+
+    g = path_graph(6)
+    p = build_poset(g)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g
+    assert build_poset(copy) is not p
+    assert build_poset(copy).elements == p.elements
