@@ -109,8 +109,10 @@ def _cmd_poset(args, budget: SearchBudget) -> int:
     cover_poset = poset.build_poset(g, budget)
     complex_ = poset.order_complex(cover_poset)
     lattice = poset.is_lattice(cover_poset)
+    pure = poset.is_pure(cover_poset)
     try:
-        shellable = poset.is_shellable(complex_, budget)
+        # A non-pure order complex has no shelling, as in the CM report.
+        shellable = pure and poset.is_shellable(complex_, budget)
         shellable_text = str(shellable)
     except SearchBudgetExceeded as exc:
         shellable = None
@@ -119,7 +121,7 @@ def _cmd_poset(args, budget: SearchBudget) -> int:
     doc = {
         "elements": [cover_poset.label_of(c) for c in cover_poset.elements],
         "hasse": cover_poset.hasse_lines(),
-        "pure": poset.is_pure(cover_poset),
+        "pure": pure,
         "rank": poset.rank(cover_poset),
         "lattice": lattice,
         "shellable": shellable,

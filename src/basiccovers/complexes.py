@@ -92,6 +92,9 @@ def independence_complex(g: Graph, budget: SearchBudget | None = None) -> Simpli
         extend(rest, chosen, excluded | {v})
 
     extend(list(g.vertices), frozenset(), set())
+    # extend refers to itself through its closure; clearing the name frees
+    # the search on return rather than at the next cyclic collection.
+    del extend
     return SimplicialComplex.from_facets(facets)
 
 
@@ -153,27 +156,30 @@ def is_shellable(c: SimplicialComplex, budget: SearchBudget | None = None) -> bo
     if count == 1:
         return True
     dead: set[frozenset[int]] = set()
-
-    def search(used: tuple[int, ...]) -> list[int] | None:
-        if len(used) == count:
-            return list(used)
-        key = frozenset(used)
-        if key in dead:
-            return None
-        for j in range(count):
-            if j in used:
-                continue
-            if _can_append(facets, used, j):
-                result = search(used + (j,))
-                if result is not None:
-                    return result
-        dead.add(key)
-        return None
-
     for first in range(count):
-        order = search((first,))
+        order = _shelling_search(facets, dead, (first,))
         if order is not None:
             if not _is_shelling_order(facets, order):  # pragma: no cover
                 raise AssertionError("search produced an invalid shelling order")
             return True
     return False
+
+
+def _shelling_search(facets, dead, used: tuple[int, ...]) -> list[int] | None:
+    """Complete the shelling prefix ``used`` to a full order of ``facets``,
+    or return None.  ``dead`` collects the prefix sets (as frozensets of
+    facet indices) known to admit no completion."""
+    if len(used) == len(facets):
+        return list(used)
+    key = frozenset(used)
+    if key in dead:
+        return None
+    for j in range(len(facets)):
+        if j in used:
+            continue
+        if _can_append(facets, used, j):
+            result = _shelling_search(facets, dead, used + (j,))
+            if result is not None:
+                return result
+    dead.add(key)
+    return None

@@ -14,6 +14,8 @@ So every sequence with the same U has the same extensions, and the search
 skips a U it has already searched, since that U cannot beat the incumbent.
 It also cuts a branch that the matching number of the unused vertices
 cannot lift past the incumbent, and stops at the matching-number ceiling.
+That residual matching number comes from the graph module's mask kernel,
+run on the unused-vertex mask itself, so no subgraph is ever built.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ from dataclasses import dataclass
 
 from .budget import SearchBudget, default_budget
 from .errors import MalformedInput, NotATree
-from .graph import Graph, is_tree, matching_number
+from .graph import (
+    Graph,
+    _matching_size,
+    _vertex_mask,
+    bipartition,
+    is_tree,
+    matching_number,
+)
 
 
 @dataclass(frozen=True)
@@ -96,12 +105,11 @@ def graphical_dimension(g: Graph, budget: SearchBudget | None = None) -> GdimRes
     ceiling = matching_number(g)
 
     # Vertex v is bit v of every mask; nbr[v] is its neighbour mask.
-    nbr = [0] * (g.vertex_count + 1)
-    for x, y in g.edges:
-        nbr[x] |= 1 << y
-        nbr[y] |= 1 << x
-    every = sum(1 << v for v in g.vertices)
-    edge_masks = [(x, y, 1 << x | 1 << y) for x, y in g.edges]
+    nbr = g.neighbour_masks
+    every = _vertex_mask(g.vertices)
+    sides = bipartition(g)
+    # A colour class of g stays one in every induced subgraph.
+    left = None if sides is None else _vertex_mask(sides[0])
 
     best_len = 0
     u, v = g.edges[0]
@@ -110,21 +118,6 @@ def graphical_dimension(g: Graph, budget: SearchBudget | None = None) -> GdimRes
     b_seq: list[int] = []
     seen: set[int] = set()
 
-    def residual_bound(remaining: int) -> int:
-        """Matching number of the subgraph induced on ``remaining``; every
-        further (a, b) pair consumes one of its edges.  Each used set is
-        searched once, so each ``remaining`` reaches here once: no cache."""
-        sub_edges = [(x, y) for x, y, m in edge_masks if remaining & m == m]
-        if not sub_edges:
-            return 0
-        touched = sorted({x for e in sub_edges for x in e})
-        relabel = {w: i + 1 for i, w in enumerate(touched)}
-        sub = Graph.from_edges(
-            [(relabel[x], relabel[y]) for x, y in sub_edges],
-            vertex_count=len(touched),
-        )
-        return matching_number(sub)
-
     def extend(used: int, blocked: int) -> None:
         """Extend the current sequence; ``blocked`` is U | N(U)."""
         nonlocal best_len, best_cert
@@ -132,7 +125,11 @@ def graphical_dimension(g: Graph, budget: SearchBudget | None = None) -> GdimRes
         if r > best_len:
             best_len = r
             best_cert = FreeParameterCertificate(tuple(a_seq), tuple(b_seq))
-        if best_len == ceiling or r + residual_bound(every & ~used) <= best_len:
+        if best_len == ceiling:
+            return
+        # Every further (a, b) pair consumes an edge among the unused
+        # vertices.  Each used set is searched once, so no cache.
+        if r + _matching_size(nbr, every & ~used, left) <= best_len:
             return
         # The new a may be adjacent to no chosen a (independence) and no
         # chosen b (the triangular condition with i > j).
@@ -157,6 +154,9 @@ def graphical_dimension(g: Graph, budget: SearchBudget | None = None) -> GdimRes
                 b_seq.pop()
 
     extend(0, 0)
+    # extend refers to itself through its closure; clearing the name frees
+    # the search state on return rather than at the next cyclic collection.
+    del extend
     return GdimResult(best_len + 1, best_cert)
 
 

@@ -7,14 +7,20 @@ vertices are rejected at construction time; every operation here is a pure
 function of an immutable :class:`Graph`.  The matching and domination
 searches are exact: branch-and-bound or subset search guarded by a
 :class:`~basiccovers.budget.SearchBudget`, never a heuristic.
+
+Every matching question goes through one pair of kernels over int
+neighbour masks (bit v stands for vertex v), each restricted to a vertex
+mask: ``_matching_size`` for the maximum matching and
+``_perfect_matchings`` for counting perfect matchings up to a limit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 from .budget import SearchBudget, default_budget
 from .errors import (
@@ -124,6 +130,16 @@ class Graph:
         """0-based neighbour indices, ascending: ``index_adjacency[v - 1]``
         holds ``w - 1`` for each neighbour w of vertex v."""
         return tuple(tuple(sorted(w - 1 for w in s)) for s in self.adjacency)
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """``neighbour_masks[v]`` has bit w set for each neighbour w of v;
+        entry 0 is unused."""
+        nbr = [0] * (self.vertex_count + 1)
+        for u, v in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return tuple(nbr)
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -346,56 +362,94 @@ def is_tree(g: Graph) -> bool:
 # --- matchings --------------------------------------------------------------
 
 
+def _vertex_mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _bits(mask: int):
+    """The vertices of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _matching_size(nbr: tuple[int, ...], mask: int, left: int | None) -> int:
+    """Maximum matching of the subgraph induced on ``mask``.
+
+    ``left`` is a colour class of a bipartite host, whose restriction to
+    ``mask`` is a colour class of the subgraph; then one augmenting-path
+    search per left vertex decides the size (Berge).  With ``left`` None
+    the subgraph may hold odd cycles, and an exact branch and bound
+    decides it.
+    """
+    if left is None:
+        return _branch_matching(nbr, mask, 0, 0)
+    mate: dict[int, int] = {}  # right vertex -> its left partner
+    return sum(_augment(nbr, mask, mate, set(), x) for x in _bits(mask & left))
+
+
+def _augment(nbr, mask: int, mate: dict[int, int], visited: set[int], x: int) -> bool:
+    """Find an augmenting path from left vertex x and flip it."""
+    for y in _bits(nbr[x] & mask):
+        if y not in visited:
+            visited.add(y)
+            if y not in mate or _augment(nbr, mask, mate, visited, mate[y]):
+                mate[y] = x
+                return True
+    return False
+
+
+def _branch_matching(nbr, active: int, best: int, size: int) -> int:
+    """Match a degree-1 vertex to its neighbour, which some maximum matching
+    does; failing that, leave a max-degree vertex unmatched or match it to
+    each neighbour in turn.  The result is at least ``best``."""
+    degree = {x: (nbr[x] & active).bit_count() for x in _bits(active)}
+    live = [x for x, d in degree.items() if d]
+    if not live:
+        return max(best, size)
+    # Cheap upper bound: at most half of the live vertices can be matched.
+    if size + len(live) // 2 <= best:
+        return best
+    v = min(live, key=degree.__getitem__)
+    if degree[v] == 1:
+        return _branch_matching(nbr, active & ~(1 << v | nbr[v]), best, size + 1)
+    v = max(live, key=degree.__getitem__)  # the lowest label on ties
+    active &= ~(1 << v)
+    best = _branch_matching(nbr, active, best, size)
+    for w in _bits(nbr[v] & active):
+        best = _branch_matching(nbr, active & ~(1 << w), best, size + 1)
+    return best
+
+
+def _perfect_matchings(nbr: tuple[int, ...], mask: int, limit: int) -> int:
+    """Number of perfect matchings of the subgraph induced on ``mask``,
+    counted up to ``limit`` (at least 1): the lowest vertex is matched to
+    each neighbour in turn."""
+    if mask.bit_count() % 2:
+        return 0
+    if not mask:
+        return 1
+    low = mask & -mask
+    rest = mask ^ low
+    count = 0
+    for w in _bits(nbr[low.bit_length() - 1] & rest):
+        count += _perfect_matchings(nbr, rest & ~(1 << w), limit - count)
+        if count == limit:
+            break
+    return count
+
+
 def matching_number(g: Graph) -> int:
     """The exact maximum matching size.
 
-    Bipartite graphs use augmenting-path search; general graphs fall back
-    to branch-and-bound over the edges at a max-degree vertex.  Both routes
-    are exact and are cross-checked against a subset oracle in the tests.
+    Bipartite graphs use augmenting paths; general graphs fall back to an
+    exact branch and bound.  Both routes are cross-checked against a subset
+    oracle in the tests.
     """
     sides = bipartition(g)
-    if sides is not None:
-        return _bipartite_matching_number(g, sides[0])
-    return _general_matching_number(g)
-
-
-def _bipartite_matching_number(g: Graph, side_a: frozenset[int]) -> int:
-    match: dict[int, int] = {}
-
-    def try_augment(a: int, visited: set[int]) -> bool:
-        for b in sorted(g.neighbors(a)):
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in match or try_augment(match[b], visited):
-                match[b] = a
-                return True
-        return False
-
-    size = 0
-    for a in sorted(side_a):
-        if try_augment(a, set()):
-            size += 1
-    return size
-
-
-def _general_matching_number(g: Graph) -> int:
-    adjacency = g.adjacency
-
-    def recurse(active: frozenset[int], best_known: int, size: int) -> int:
-        live = [v for v in active if adjacency[v - 1] & active]
-        if not live:
-            return size
-        # Cheap upper bound: at most half of the live vertices can be matched.
-        if size + len(live) // 2 <= best_known:
-            return best_known
-        v = max(live, key=lambda x: (len(adjacency[x - 1] & active), -x))
-        best = recurse(active - {v}, best_known, size)
-        for w in sorted(adjacency[v - 1] & active):
-            best = max(best, recurse(active - {v, w}, best, size + 1))
-        return best
-
-    return recurse(frozenset(g.vertices), 0, 0)
+    left = None if sides is None else _vertex_mask(sides[0])
+    return _matching_size(g.neighbour_masks, _vertex_mask(g.vertices), left)
 
 
 def enumerate_perfect_matchings(
@@ -423,25 +477,6 @@ def enumerate_perfect_matchings(
     return [Matching(e) for e in sorted(found, key=sorted)]
 
 
-def _has_perfect_matching_on(g: Graph, vertices: tuple[int, ...]) -> bool:
-    """Does the induced subgraph on ``vertices`` have a perfect matching?"""
-    if len(vertices) % 2 == 1:
-        return False
-    vset = frozenset(vertices)
-
-    def extend(uncovered: frozenset[int]) -> bool:
-        if not uncovered:
-            return True
-        v = min(uncovered)
-        for w in g.neighbors(v):
-            if w in uncovered and w in vset:
-                if extend(uncovered - {v, w}):
-                    return True
-        return False
-
-    return extend(vset)
-
-
 # --- domination and induced matchings --------------------------------------
 
 
@@ -454,23 +489,17 @@ def paired_domination_number(g: Graph, budget: SearchBudget | None = None) -> in
     """
     budget = budget or default_budget()
     budget.check_graph(g.vertex_count, g.edge_count, "paired_domination_number")
-    n = g.vertex_count
-    vertices = tuple(g.vertices)
-    for size in range(2, n + 1, 2):
-        for subset in combinations(vertices, size):
-            chosen = frozenset(subset)
-            if not _dominates(g, chosen):
+    nbr = g.neighbour_masks
+    closed = [reach | 1 << v for v, reach in enumerate(nbr)]
+    every = _vertex_mask(g.vertices)
+    for size in range(2, g.vertex_count + 1, 2):
+        for subset in combinations(g.vertices, size):
+            # Dominating: every vertex is in the set or next to it.
+            if reduce(or_, map(closed.__getitem__, subset)) != every:
                 continue
-            if _has_perfect_matching_on(g, subset):
+            if _perfect_matchings(nbr, _vertex_mask(subset), 1):
                 return size
     raise AssertionError("a paired-dominating set always exists")  # pragma: no cover
-
-
-def _dominates(g: Graph, chosen: frozenset[int]) -> bool:
-    for v in g.vertices:
-        if v not in chosen and not (g.neighbors(v) & chosen):
-            return False
-    return True
 
 
 def induced_matching_number(g: Graph, budget: SearchBudget | None = None) -> int:
@@ -504,6 +533,9 @@ def induced_matching_number(g: Graph, budget: SearchBudget | None = None) -> int
             recurse(rest, size + 1)
 
     recurse(list(range(m)), 0)
+    # recurse refers to itself through its closure; clearing the name frees
+    # the search on return rather than at the next cyclic collection.
+    del recurse
     return best
 
 

@@ -32,7 +32,8 @@ from .gdim import graphical_dimension
 from .graph import (
     Edge,
     Graph,
-    enumerate_perfect_matchings,
+    _perfect_matchings,
+    _vertex_mask,
     induced_matching_number,
     is_bipartite,
 )
@@ -319,13 +320,20 @@ def cm_equivalence_report(
             skips.append(f"{name}: {exc}")
             return None
 
+    def has_unique_pm(nbr: tuple[int, ...]) -> bool:
+        # Skip reasons name enumerate_perfect_matchings, the public search
+        # over the same matchings.
+        budget.check_graph(g.vertex_count, g.edge_count, "enumerate_perfect_matchings")
+        return _perfect_matchings(nbr, _vertex_mask(g.vertices), 2) == 1
+
     unique_pm = guarded(
-        "unique_perfect_matching",
-        lambda: len(enumerate_perfect_matchings(g, budget)) == 1,
+        "unique_perfect_matching", lambda: has_unique_pm(g.neighbour_masks)
     )
+    # Perfect matchings drawn from right edges only; under the WSC every
+    # vertex lies on a right edge, so they span a valid graph.
+    right_nbr = Graph(g.vertex_count, right_edges(g)).neighbour_masks
     unique_right_pm = guarded(
-        "unique_right_edge_perfect_matching",
-        lambda: _count_right_perfect_matchings(g, budget) == 1,
+        "unique_right_edge_perfect_matching", lambda: has_unique_pm(right_nbr)
     )
     fixed_point = project(g).is_fixed_point
 
@@ -360,20 +368,6 @@ def cm_equivalence_report(
         )
     common = verdicts.pop() if verdicts else None
     return replace(report, cohen_macaulay=common)
-
-
-def _count_right_perfect_matchings(g: Graph, budget: SearchBudget) -> int:
-    rights = right_edges(g)
-    if not rights:
-        return 0
-    right_graph_edges = set(rights)
-    # Perfect matchings of g drawn from right edges only.
-    matchings = [
-        m
-        for m in enumerate_perfect_matchings(g, budget)
-        if set(m.edges) <= right_graph_edges
-    ]
-    return len(matchings)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ permutation search with their own validity check.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import pytest
 
@@ -164,15 +164,25 @@ def enumerate_matchings(g: Graph) -> list[Matching]:
 
 
 def brute_force_paired_domination(g: Graph) -> int:
-    from basiccovers.graph import _dominates, _has_perfect_matching_on
+    """Fewest vertices of a matching whose vertex set dominates g.
 
-    n = g.vertex_count
-    best = None
-    for size in range(2, n + 1, 2):
-        for subset in combinations(g.vertices, size):
-            if _dominates(g, frozenset(subset)) and _has_perfect_matching_on(g, subset):
-                return size
-    return best
+    A vertex set whose induced subgraph has a perfect matching is exactly
+    the vertex set of a matching, so this scans ``enumerate_matchings``
+    and checks domination directly on the edge set.
+    """
+    edges = set(g.edges)
+
+    def dominates(chosen: set[int]) -> bool:
+        return all(
+            v in chosen or any((min(v, w), max(v, w)) in edges for w in chosen)
+            for v in g.vertices
+        )
+
+    return min(
+        2 * len(m.edges)
+        for m in enumerate_matchings(g)
+        if m.edges and dominates({v for e in m.edges for v in e})
+    )
 
 
 def brute_force_least_free_parameter_sequence(

@@ -5,6 +5,7 @@ import pytest
 
 from basiccovers.cli import main
 from basiccovers.fixtures import FIXTURE_NAMES
+from basiccovers.graph import graph_to_text, path_graph
 
 
 @pytest.fixture()
@@ -79,7 +80,9 @@ def test_byte_identical_output(capsys, corpus_dir):
 # sha256 of "exit <code>\n" + stdout + stderr for each fixture and command,
 # recorded before the cover poset was memoised and its kernels moved to
 # index and value tuples.  A refactor must leave every one unchanged; a
-# change that moves one changes what users see and must say so.
+# change that moves one changes what users see and must say so.  The P6
+# poset pair was re-recorded when the command learned to report a non-pure
+# poset as not shellable instead of failing with NotPure.
 GOLDEN_COMMANDS = {
     "analyze": ["analyze"],
     "analyze-structured": ["--format", "structured", "analyze"],
@@ -93,8 +96,8 @@ GOLDEN_SHA256 = {
     ("K2", "poset-structured"): "a3c81edd8fe0c6651c2352f60e11a3a433f2531b50d3e83d7e043894ff2c1a5b",
     ("P6", "analyze"): "2dbc6f24c2bb3ea56fa7d3a157a73eee1d45ef0c4176ba4aab8c324052e514fa",
     ("P6", "analyze-structured"): "3ab1f7877ea2d86368e720c3ccaf145497b60a5cb2ca75562631717f8e33662f",
-    ("P6", "poset"): "8dcfbee7c74596c532d5cd9b070b2470a00ad1a4104bba6c676a81dd7b3b7313",
-    ("P6", "poset-structured"): "8dcfbee7c74596c532d5cd9b070b2470a00ad1a4104bba6c676a81dd7b3b7313",
+    ("P6", "poset"): "e68a9102ce1318f0ab49dff424f98b5bfc5f3984c68b836322ef52707540c4dc",
+    ("P6", "poset-structured"): "05fdbf015b3ae0a9ba58a6f5572da253f91b995b29cdfd8f492dfc46bd7a5739",
     ("STAR3", "analyze"): "59f39858622f39f515b884aed602a16890eff1b440890b7da03b1f9bff56ff6e",
     ("STAR3", "analyze-structured"): "e0fe901d32d054428d7f1ae361fcc697c77306723ca2872e961474784ad102a6",
     ("STAR3", "poset"): "0722fffb87d6ae43d2762339473bd383a0fe7946bf3024907af245c25092660e",
@@ -132,6 +135,28 @@ def test_golden_output(capsys, corpus_dir, fixture, command):
     code, out, err = run(capsys, argv)
     doc = f"exit {code}\n{out}{err}"
     assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_SHA256[fixture, command]
+
+
+# K5 with one pendant leaf per vertex: 10 vertices, so a budget of 9 cuts
+# every graph-size-bounded search, and the cm-equivalence section lists its
+# skip reasons.  sha256 as above.
+WHISKERED_K5 = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)] + [
+    (v, v + 5) for v in range(1, 6)
+]
+BUDGET_CUT_SHA256 = {
+    "text": "8c11b94e509eb6c93acf427fbc6ab9722c229256ffac40f0135f50572e3cfbf9",
+    "structured": "170a3b509f27e2eb4241e70aecb2ea5d277fe45b78ed5ab22cff61700ed7d3b4",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BUDGET_CUT_SHA256))
+def test_golden_budget_cut_skip_reasons(capsys, tmp_path, fmt):
+    path = tmp_path / "whiskered_k5.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in WHISKERED_K5))
+    argv = ["--budget", "9", "--format", fmt, "analyze", str(path)]
+    code, out, err = run(capsys, argv)
+    doc = f"exit {code}\n{out}{err}"
+    assert hashlib.sha256(doc.encode()).hexdigest() == BUDGET_CUT_SHA256[fmt]
 
 
 def test_golden_output_covers_every_fixture():
@@ -191,6 +216,21 @@ def test_poset_command(capsys, corpus_dir):
     assert code == 0
     assert "elements: 000 100 101 110 111" in out
     assert "101*110 = 0" in out
+
+
+@pytest.mark.parametrize("name", ["P6", "P8"])
+def test_poset_command_reports_non_pure_poset_not_shellable(
+    capsys, corpus_dir, tmp_path, name
+):
+    if name == "P6":
+        path = corpus_dir / "p6.edges"
+    else:
+        path = tmp_path / "p8.edges"
+        path.write_text(graph_to_text(path_graph(8)))
+    code, out, err = run(capsys, ["poset", str(path)])
+    assert code == 0, err
+    assert "pure: False" in out
+    assert "shellable: False" in out
 
 
 def test_poset_command_rejects_odd_cycle(capsys, corpus_dir):

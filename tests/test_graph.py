@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from basiccovers.errors import (
 from basiccovers.graph import (
     Graph,
     Matching,
+    _matching_size,
+    _perfect_matchings,
     bipartition,
     check_values,
     complete_bipartite,
@@ -29,12 +32,17 @@ from basiccovers.graph import (
     star_graph,
 )
 from basiccovers.budget import SearchBudget
+from basiccovers.complexes import independence_complex, is_shellable
+from basiccovers.gdim import graphical_dimension
+from basiccovers.poset import build_poset, order_complex
+from basiccovers.projection import cm_equivalence_report
 
 from conftest import (
     brute_force_matching_number,
     brute_force_paired_domination,
     enumerate_matchings,
     fixture_items,
+    random_bipartite_graph,
     random_connected_graph,
 )
 
@@ -315,3 +323,84 @@ def test_matching_and_domination_ranges(g: Graph):
     nu = matching_number(g)
     assert 1 <= nu <= g.vertex_count // 2
     assert 2 <= paired_domination_number(g) <= g.vertex_count
+
+
+@st.composite
+def graphs_with_masks(draw) -> tuple[Graph, int]:
+    """A graph on at most 9 vertices, bipartite or not, and a vertex mask."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    n = draw(st.integers(min_value=2, max_value=9))
+    make = draw(st.sampled_from([random_connected_graph, random_bipartite_graph]))
+    g = make(rng, n)
+    picked = draw(st.lists(st.sampled_from(list(g.vertices)), unique=True))
+    return g, sum(1 << v for v in picked)
+
+
+def _induced(g: Graph, mask: int) -> Graph | None:
+    """The subgraph on the non-isolated vertices of ``mask``, relabelled
+    1..k; None when it has no edge."""
+    edges = [(u, v) for u, v in g.edges if mask >> u & 1 and mask >> v & 1]
+    if not edges:
+        return None
+    touched = sorted({x for e in edges for x in e})
+    label = {w: i + 1 for i, w in enumerate(touched)}
+    return Graph.from_edges([(label[u], label[v]) for u, v in edges])
+
+
+@given(graphs_with_masks())
+@settings(max_examples=150, deadline=None)
+def test_matching_kernel_matches_brute_force(case):
+    g, mask = case
+    sub = _induced(g, mask)
+    expected = 0 if sub is None else brute_force_matching_number(sub)
+    assert _matching_size(g.neighbour_masks, mask, None) == expected
+    sides = bipartition(g)
+    if sides is not None:
+        left = sum(1 << v for v in sides[0])
+        assert _matching_size(g.neighbour_masks, mask, left) == expected
+
+
+@given(graphs_with_masks())
+@settings(max_examples=150, deadline=None)
+def test_perfect_matching_kernel_matches_enumeration(case):
+    g, mask = case
+    sub = _induced(g, mask)
+    if mask == 0:
+        total = 1  # the empty matching
+    elif sub is None or sub.vertex_count != bin(mask).count("1"):
+        total = 0  # some vertex of the mask has no neighbour in it
+    else:
+        total = len(enumerate_perfect_matchings(sub))
+    for limit in (1, 2):
+        assert _perfect_matchings(g.neighbour_masks, mask, limit) == min(limit, total)
+
+
+# --- reference cycles -------------------------------------------------------------
+
+WHISKERED_TRIANGLE = Graph.from_edges([(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)])
+
+
+@pytest.mark.parametrize(
+    "search, make_input",
+    [
+        (graphical_dimension, lambda: cycle_graph(14)),
+        (independence_complex, lambda: cycle_graph(10)),
+        (is_shellable, lambda: order_complex(build_poset(path_graph(7)))),
+        (induced_matching_number, lambda: cycle_graph(10)),
+        (matching_number, lambda: cycle_graph(9)),
+        (matching_number, lambda: complete_bipartite(3, 4)),
+        (paired_domination_number, lambda: cycle_graph(10)),
+        (cm_equivalence_report, lambda: WHISKERED_TRIANGLE),
+    ],
+)
+def test_searches_leave_no_reference_cycles(search, make_input):
+    """A recursive search must free its state on return, not at the next
+    cyclic garbage collection."""
+    arg = make_input()
+    gc.collect()
+    gc.disable()
+    try:
+        search(arg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
