@@ -7,6 +7,11 @@ multiplicative structure combinatorially.  The standard-monomial side is
 checked through two finite consequences: the rewriting rules are quadratic
 by construction, and d-multichains biject with basic d-covers, so the two
 counts must agree at every degree.
+
+Both checks run on int masks.  A basic 1-cover is a 0/1 vector, so the
+crossed covers of a pair are two bit operations and their basicness a
+test on neighbour masks; a multichain sum is basic exactly when its
+support lies inside the endpoints of the edges tight in every summand.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     EquivalenceViolation,
     MalformedInput,
+    NotACover,
     NotAMultichain,
     SumNotBasic,
 )
@@ -76,24 +82,37 @@ def straightening_relations(poset: CoverPoset) -> list[StraighteningRelation]:
 
 
 def _straighten(poset: CoverPoset) -> Iterator[StraighteningRelation]:
+    """The relations on 0/1 bitmasks (bit v is vertex v).
+
+    Every element is a basic 1-cover, so its values are 0 or 1 and it is
+    one int.  The meet takes the min on A and the max on B, the join the
+    dual, and either is an element exactly when it is a basic 1-cover.
+    """
     g, elements = poset.graph, poset.elements
     up, down = poset.up_sets, poset.down_sets
-    for i, x in enumerate(elements):
+    bits = _zero_one_masks(poset)
+    by_bits = {m: i for i, m in enumerate(bits)}
+    side_a = sum(1 << v for v in poset.side_a)
+    side_b = sum(1 << v for v in poset.side_b)
+    nbr = g.neighbour_masks
+    for i, x in enumerate(bits):
         related = up[i] | down[i]
-        for j in range(i + 1, len(elements)):
+        for j in range(i + 1, len(bits)):
             if related >> j & 1:
                 continue
-            y = elements[j]
-            meet = meet_values(poset, x, y)
-            join = join_values(poset, x, y)
+            y = bits[j]
+            both, either = x & y, x | y
+            meet = both & side_a | either & side_b
+            join = either & side_a | both & side_b
             if not (
-                _is_basic_k_cover(g, meet.values, 1)
-                and _is_basic_k_cover(g, join.values, 1)
+                _is_basic_one_cover(nbr, meet) and _is_basic_one_cover(nbr, join)
             ):
-                yield StraighteningRelation((x, y), None)
+                yield StraighteningRelation((elements[i], elements[j]), None)
                 continue
             # Both are basic 1-covers, hence elements of the poset.
-            m, t = poset.index_of(meet), poset.index_of(join)
+            m, t = by_bits.get(meet), by_bits.get(join)
+            if m is None or t is None:
+                raise MalformedInput("a basic 1-cover is missing from the poset")
             if not (
                 down[t] >> m & 1
                 and down[i] >> m & 1
@@ -104,7 +123,37 @@ def _straighten(poset: CoverPoset) -> Iterator[StraighteningRelation]:
                 raise EquivalenceViolation(
                     "straightening right side violates the rewriting shape"
                 )
-            yield StraighteningRelation((x, y), (elements[m], elements[t]))
+            yield StraighteningRelation(
+                (elements[i], elements[j]), (elements[m], elements[t])
+            )
+
+
+def _zero_one_masks(poset: CoverPoset) -> list[int]:
+    """Each element as the mask of its vertices with value 1."""
+    masks = []
+    for c in poset.elements:
+        if not set(c.values) <= {0, 1}:
+            raise MalformedInput(f"{c!r} is not a 0/1 cover")
+        masks.append(sum(1 << v for v, x in enumerate(c.values, start=1) if x))
+    return masks
+
+
+def _is_basic_one_cover(nbr: tuple[int, ...], ones: int) -> bool:
+    """Is the 0/1 assignment with value 1 on ``ones`` a basic 1-cover?
+
+    It is a 1-cover iff its zeros are independent and it is not all zero,
+    and then basic iff every one has a zero neighbour (a tight edge).
+    ``nbr`` holds the neighbour masks of the graph.
+    """
+    zeros = rest = ((1 << len(nbr)) - 2) & ~ones
+    reach = 0
+    while rest:
+        low = rest & -rest
+        reach |= nbr[low.bit_length() - 1]
+        rest ^= low
+    if not ones or reach & zeros:
+        raise NotACover("values are not a 1-cover")
+    return not ones & ~reach
 
 
 def verify_sum_identity(poset: CoverPoset, x: Cover, y: Cover) -> bool:
@@ -150,34 +199,89 @@ def verify_asl1(
     """Is the multichain-to-cover map a bijection onto the basic d-covers?
 
     Both sides are produced independently: multichains by direct
-    enumeration over the poset, covers by the exact cover search.  The
+    enumeration over the poset, covers by a fresh exact cover search.  The
     multichains grow one element at a time along the up-lists, each
     carrying its value sum; every d-element sum must be a basic d-cover,
-    as :func:`multichain_to_cover` requires.
+    as :func:`multichain_to_cover` requires, and distinct multichains must
+    have distinct sums.
+
+    Basicness of the sums is decided on masks.  Every element is first
+    checked to be a basic 1-cover with nonnegative values.  A sum S of d
+    of them is then a d-cover, and an edge is tight in S (sums to exactly
+    d) iff it is tight (sums to exactly 1) in every summand, since each
+    summand puts at least 1 on it.  So the tight edges of S are the AND of
+    the summands' tight-edge masks, and the positive vertices of S the OR
+    of their support masks.  S is basic iff every positive vertex lies on
+    a tight edge, that is, iff its support lies inside the endpoints of
+    the AND mask.  The endpoints are computed once per mask.
     """
     if d < 1:
         raise NotAMultichain("degree must be >= 1")
-    g, ups = poset.graph, poset.up_lists
-    values = [c.values for c in poset.elements]
-    # (last element, value sum) of every multichain, one element longer per
-    # level.  The levels are chained generators, so none is held in full.
-    chains = enumerate(values)
-    for _ in range(d - 1):
-        chains = (
-            (j, tuple(map(add, total, values[j])))
-            for i, total in chains
-            for j in ups[i]
-        )
+    g = poset.graph
+    for c in poset.elements:
+        if min(c.values) < 0:
+            raise MalformedInput("cover values must be nonnegative")
+        if not _is_basic_k_cover(g, c.values, 1):
+            raise SumNotBasic("a multichain summed to a non-basic cover")
+    ends: dict[int, int] = {}
     images: set[tuple[int, ...]] = set()
     count = 0
-    for _, total in chains:
-        if not _is_basic_k_cover(g, total, d):
+    for total, tight, support in _multichain_sums(poset, d):
+        covered = ends.get(tight)
+        if covered is None:
+            covered = ends[tight] = _tight_ends(g, tight)
+        if support & ~covered:
             raise SumNotBasic("a multichain summed to a non-basic cover")
         images.add(total)
         count += 1
     if len(images) != count:
         return False
     return images == {c.values for c in enumerate_basic_covers(g, d, budget)}
+
+
+def _multichain_sums(
+    poset: CoverPoset, d: int
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(value sum, AND of tight-edge masks, OR of support masks) of every
+    d-element multichain."""
+    g, ups = poset.graph, poset.up_lists
+    values = [c.values for c in poset.elements]
+    tight = [_tight_edges(g, vals) for vals in values]
+    support = [_support(vals) for vals in values]
+    # (last element, value sum, tight AND, support OR) of every multichain,
+    # one element longer per level.  The levels are chained generators, so
+    # none is held in full.
+    chains = zip(range(len(values)), values, tight, support)
+    for _ in range(d - 1):
+        chains = (
+            (j, tuple(map(add, total, values[j])), t & tight[j], s | support[j])
+            for i, total, t, s in chains
+            for j in ups[i]
+        )
+    return ((total, t, s) for _, total, t, s in chains)
+
+
+def _tight_edges(g: Graph, vals: tuple[int, ...]) -> int:
+    """Bit e set for each edge ``g.edges[e]`` whose ends sum to 1."""
+    return sum(
+        1 << e
+        for e, (u, v) in enumerate(g.edges)
+        if vals[u - 1] + vals[v - 1] == 1
+    )
+
+
+def _support(vals: tuple[int, ...]) -> int:
+    """Bit v set for each vertex v with a positive value."""
+    return sum(1 << v for v, x in enumerate(vals, start=1) if x > 0)
+
+
+def _tight_ends(g: Graph, tight: int) -> int:
+    """The vertex mask of the endpoints of the edges in ``tight``."""
+    ends = 0
+    for e, (u, v) in enumerate(g.edges):
+        if tight >> e & 1:
+            ends |= 1 << u | 1 << v
+    return ends
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ recovers its Krull dimension.
 
 Enumeration and counting take separate routes, so each checks the other.
 The enumerator is a depth-first search over vertex values with three exact
-prunes (edge feasibility, the value ceiling k, and achievable tightness);
-a final basicness filter keeps correctness independent of the pruning.
+prunes (edge feasibility, the value ceiling k, and achievable tightness),
+run on a static schedule: the vertex order is fixed, so each position's
+placed neighbours and the neighbours it completes are precomputed.  A
+final basicness filter keeps correctness independent of the pruning.
 The counter never lists a cover: it runs the transfer-matrix method over a
 vertex order that keeps the frontier of partly constrained vertices
 narrow, so its cost follows the number of frontier states rather than the
@@ -171,59 +173,67 @@ def _basic_cover_search(g: Graph, k: int) -> list[tuple[int, ...]]:
 
     Basicness bounds every value by k, each newly assigned vertex must keep
     its edges feasible, and a vertex whose neighbourhood is fully assigned
-    must either be zero or own a tight edge.
+    must either be zero or own a tight edge.  The vertex order is fixed
+    before the search starts, so the neighbours each of these prunes reads
+    are listed once per position rather than tracked per node.
     """
     n = g.vertex_count
-    order = _search_order(g)
-    position = {v: i for i, v in enumerate(order)}
-    # 0-based neighbour lists in search order.
-    nbrs: list[list[int]] = [
-        [position[w] for w in g.neighbors(order[i])] for i in range(n)
+    adjacency = g.index_adjacency
+    # Vertices by 0-based index, in search order.
+    order = [v - 1 for v in _search_order(g)]
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    last = [max(map(position.__getitem__, nbrs), default=-1) for nbrs in adjacency]
+    # The order is fixed, so each position knows in advance its vertex,
+    # which of its neighbours are already placed, whether one comes later,
+    # and which earlier neighbours it closes (places their last
+    # neighbour), each with its other neighbours.
+    schedule = [
+        (
+            v,
+            [w for w in adjacency[v] if position[w] < i],
+            last[v] > i,
+            [
+                (w, [h for h in adjacency[w] if h != v])
+                for w in adjacency[v]
+                if last[w] == i > position[w]
+            ],
+        )
+        for i, v in enumerate(order)
     ]
-    unassigned_nbrs = [len(nbrs[i]) for i in range(n)]
-    # Search position of each vertex, in label order, for reading out a leaf.
-    slots = [position[v] for v in g.vertices]
-    values = [-1] * n
+    values = [0] * n
+    get = values.__getitem__
     found: list[tuple[int, ...]] = []
 
-    def tight(i: int) -> bool:
-        # Unassigned vertices hold -1, and every value lies in [0, k].
-        need = k - values[i]
-        for j in nbrs[i]:
-            if values[j] == need:
-                return True
-        return False
-
     def assign(i: int) -> None:
-        if i == n:
-            vals = tuple(map(values.__getitem__, slots))
-            if _is_basic_values(g, vals, k):
-                found.append(vals)
-            return
-        mine = nbrs[i]
-        lo = 0
-        for j in mine:
-            if values[j] >= 0:
-                lo = max(lo, k - values[j])
-        for j in mine:
-            unassigned_nbrs[j] -= 1
-        # A vertex with no unassigned neighbours left can never gain a tight
-        # edge later, so its value must be zero or tight already.  For i
-        # itself, with every neighbour placed, only x = lo is: it is tight
-        # against the smallest neighbour value, and a larger x is tight
-        # against none.  A positive neighbour j that i closes, and that no
-        # other neighbour makes tight, forces x = k - value(j).
-        top = lo if unassigned_nbrs[i] == 0 else k
-        for j in mine:
-            if values[j] > 0 and unassigned_nbrs[j] == 0 and not tight(j):
-                need = k - values[j]
-                lo, top = max(lo, need), min(top, need)
-        for x in range(lo, top + 1):
-            values[i] = x
-            assign(i + 1)
-        for j in mine:
-            unassigned_nbrs[j] += 1
-        values[i] = -1
+        # A position with a single admissible value is placed in this
+        # frame; the search recurses only where it branches.
+        while i < n:
+            v, earlier, opens, closes = schedule[i]
+            lo = k - min(map(get, earlier)) if earlier else 0
+            # A vertex with no unplaced neighbours left can never gain a
+            # tight edge later, so its value must be zero or tight already.
+            # For v itself, with every neighbour placed, only x = lo is: it
+            # is tight against the smallest neighbour value, and a larger x
+            # is tight against none.  A positive neighbour w that v closes,
+            # and that no other neighbour makes tight, forces
+            # x = k - value(w).
+            top = k if opens else lo
+            for w, others in closes:
+                need = k - values[w]
+                if need < k and need not in map(get, others):
+                    lo, top = max(lo, need), min(top, need)
+            if lo != top:
+                for x in range(lo, top + 1):
+                    values[v] = x
+                    assign(i + 1)
+                return
+            values[v] = lo
+            i += 1
+        vals = tuple(values)
+        if _is_basic_values(g, vals, k):
+            found.append(vals)
 
     assign(0)
     # assign refers to itself through its closure; clearing the name breaks

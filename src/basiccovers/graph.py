@@ -461,20 +461,25 @@ def enumerate_perfect_matchings(
     if g.vertex_count % 2 == 1:
         return []
     found: list[frozenset[Edge]] = []
-
-    def extend(uncovered: frozenset[int], chosen: list[Edge]) -> None:
-        if not uncovered:
-            found.append(frozenset(chosen))
-            return
-        v = min(uncovered)
-        for w in sorted(g.neighbors(v)):
-            if w in uncovered:
-                chosen.append(_canonical_edge(v, w))
-                extend(uncovered - {v, w}, chosen)
-                chosen.pop()
-
-    extend(frozenset(g.vertices), [])
+    _extend_perfect(g, frozenset(g.vertices), [], found)
     return [Matching(e) for e in sorted(found, key=sorted)]
+
+
+def _extend_perfect(
+    g: Graph, uncovered: frozenset[int], chosen: list[Edge], found: list
+) -> None:
+    """Append to ``found`` every perfect matching of the vertices in
+    ``uncovered`` that extends ``chosen``, matching the least uncovered
+    vertex first."""
+    if not uncovered:
+        found.append(frozenset(chosen))
+        return
+    v = min(uncovered)
+    for w in sorted(g.neighbors(v)):
+        if w in uncovered:
+            chosen.append(_canonical_edge(v, w))
+            _extend_perfect(g, uncovered - {v, w}, chosen, found)
+            chosen.pop()
 
 
 # --- domination and induced matchings --------------------------------------

@@ -468,11 +468,13 @@ def count_multichains(poset: CoverPoset, d: int) -> int:
         raise MalformedInput("multichain length must be >= 0")
     if d == 0:
         return 1
-    n = len(poset.elements)
-    below = [[i for i in range(n) if poset.leq_by_index(i, j)] for j in range(n)]
-    counts = [1] * n
+    below = [
+        [i for i in range(down.bit_length()) if down >> i & 1]
+        for down in poset.down_sets
+    ]
+    counts = [1] * len(below)
     for _ in range(d - 1):
-        counts = [sum(counts[i] for i in below[j]) for j in range(n)]
+        counts = [sum(map(counts.__getitem__, lows)) for lows in below]
     return sum(counts)
 
 

@@ -1,21 +1,32 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basiccovers.asl import (
+    _is_basic_one_cover,
+    _multichain_sums,
+    _support,
+    _tight_edges,
+    _tight_ends,
     is_domain_report,
     multichain_to_cover,
     straightening_relations,
     verify_asl1,
     verify_sum_identity,
 )
-from basiccovers.covers import Cover, is_basic
-from basiccovers.errors import NotAMultichain, NotBipartite, SumNotBasic
+from basiccovers.covers import Cover, _is_basic_k_cover, is_basic
+from basiccovers.errors import (
+    MalformedInput,
+    NotACover,
+    NotAMultichain,
+    NotBipartite,
+    SumNotBasic,
+)
 from basiccovers.graph import Graph, complete_bipartite, cycle_graph, path_graph
-from basiccovers.poset import build_poset
+from basiccovers.poset import CoverPoset, build_poset, join_values, meet_values
 
 from conftest import fixture_items, random_bipartite_graph
 
@@ -182,6 +193,139 @@ def test_asl1_raises_when_a_multichain_sum_is_not_basic(monkeypatch, fixtures):
     monkeypatch.setattr(covers, "_is_basic_values", lambda g, vals, k: False)
     with pytest.raises(SumNotBasic):
         verify_asl1(p, 2)
+
+
+def test_asl1_raises_when_a_mask_sum_is_not_basic(monkeypatch, fixtures):
+    # With no tight edge left in any AND mask, no positive vertex of a sum
+    # is covered, so the mask test must reject the first sum it sees.
+    from basiccovers import asl
+
+    p = build_poset(fixtures["E7"])
+    monkeypatch.setattr(asl, "_tight_ends", lambda g, tight: 0)
+    with pytest.raises(SumNotBasic):
+        verify_asl1(p, 2)
+
+
+def test_asl1_rejects_negative_values():
+    poset = CoverPoset(K2, (Cover((-1, 1), 1), Cover((1, 0), 1)), (1,), (2,))
+    with pytest.raises(MalformedInput):
+        verify_asl1(poset, 2)
+
+
+def test_straightening_rejects_values_above_one():
+    poset = CoverPoset(K2, (Cover((0, 1), 1), Cover((2, 0), 1)), (1,), (2,))
+    with pytest.raises(MalformedInput):
+        straightening_relations(poset)
+
+
+def test_straightening_rejects_a_poset_missing_a_basic_cover():
+    # Three disjoint edges give the Boolean cube on the A-patterns; without
+    # 110, the join of 100 and 010 is a basic 1-cover outside the poset.
+    g = Graph.from_edges([(1, 2), (3, 4), (5, 6)])
+    patterns = [p for p in product((0, 1), repeat=3) if p != (1, 1, 0)]
+    elements = tuple(
+        Cover(tuple(x for a in p for x in (a, 1 - a)), 1) for p in patterns
+    )
+    with pytest.raises(MalformedInput):
+        straightening_relations(CoverPoset(g, elements, (1, 3, 5), (2, 4, 6)))
+
+
+# --- the mask kernels against the scalar checks ---------------------------------------------
+
+
+@st.composite
+def small_bipartite_graphs(draw) -> Graph:
+    """Any bipartite graph on at most 9 vertices without isolated ones."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    a = draw(st.integers(min_value=1, max_value=n - 1))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    density = draw(st.sampled_from([0.2, 0.35, 0.5, 0.8]))
+    pairs = [(u, v) for u in range(1, a + 1) for v in range(a + 1, n + 1)]
+    edges = [e for e in pairs if rng.random() < density] or [pairs[0]]
+    touched = sorted({x for e in edges for x in e})
+    label = {w: i + 1 for i, w in enumerate(touched)}
+    return Graph.from_edges([(label[u], label[v]) for u, v in edges])
+
+
+def _scalar_multichains(poset, d):
+    """Every d-element multichain as an index tuple, by the order alone."""
+    chains = [(i,) for i in range(len(poset))]
+    for _ in range(d - 1):
+        chains = [
+            c + (j,)
+            for c in chains
+            for j in range(len(poset))
+            if poset.leq_by_index(c[-1], j)
+        ]
+    return chains
+
+
+def _sum_masks(g, members):
+    """The AND of the tight-edge masks and the OR of the support masks."""
+    tight, support = -1, 0
+    for vals in members:
+        tight &= _tight_edges(g, vals)
+        support |= _support(vals)
+    return tight, support
+
+
+def _mask_verdict(g, members):
+    """The mask test of verify_asl1 on the sum of ``members``."""
+    tight, support = _sum_masks(g, members)
+    return not support & ~_tight_ends(g, tight)
+
+
+@given(small_bipartite_graphs())
+@settings(max_examples=100, deadline=None)
+def test_mask_sum_test_matches_scalar_basicness(g):
+    p = build_poset(g)
+    values = [c.values for c in p.elements]
+    for d in (1, 2, 3, 4):
+        expected = []
+        for chain in _scalar_multichains(p, d):
+            members = [values[i] for i in chain]
+            total = tuple(map(sum, zip(*members)))
+            assert _mask_verdict(g, members) == _is_basic_k_cover(g, total, d)
+            expected.append((total, *_sum_masks(g, members)))
+        assert sorted(_multichain_sums(p, d)) == sorted(expected)
+    # Sums of incomparable pairs need not be basic: both verdicts occur.
+    for i, x in enumerate(values):
+        for y in values[i:]:
+            total = tuple(map(sum, zip(x, y)))
+            assert _mask_verdict(g, (x, y)) == _is_basic_k_cover(g, total, 2)
+
+
+@given(small_bipartite_graphs())
+@settings(max_examples=100, deadline=None)
+def test_bitmask_meet_join_matches_scalar_checks(g):
+    p = build_poset(g)
+    relations = {r.left: r.right for r in straightening_relations(p)}
+    for i, x in enumerate(p.elements):
+        for y in p.elements[i + 1 :]:
+            if p.leq(x, y) or p.leq(y, x):
+                assert (x, y) not in relations
+                continue
+            meet, join = meet_values(p, x, y), join_values(p, x, y)
+            nonzero = _is_basic_k_cover(g, meet.values, 1) and _is_basic_k_cover(
+                g, join.values, 1
+            )
+            assert relations.pop((x, y)) == ((meet, join) if nonzero else None)
+    assert not relations
+
+
+@given(small_bipartite_graphs())
+@settings(max_examples=60, deadline=None)
+def test_one_cover_mask_test_matches_scalar_check(g):
+    n = g.vertex_count
+    for ones in range(0, 1 << n):
+        vals = tuple(ones >> (v - 1) & 1 for v in g.vertices)
+        try:
+            expected = _is_basic_k_cover(g, vals, 1)
+        except NotACover:
+            with pytest.raises(NotACover):
+                _is_basic_one_cover(g.neighbour_masks, ones << 1)
+        else:
+            assert _is_basic_one_cover(g.neighbour_masks, ones << 1) == expected
 
 
 # --- the domain report -------------------------------------------------------------------

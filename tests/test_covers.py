@@ -125,6 +125,31 @@ def test_enumeration_matches_brute_force_random():
             assert got == brute_force_basic_covers(g, k)
 
 
+@given(
+    st.integers(min_value=0, max_value=100_000),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=80, deadline=None)
+def test_search_prunes_leave_only_basic_leaves(seed, n, k):
+    # The prunes are exact: every vertex is settled, zero or tight, once
+    # its last neighbour is placed, so each leaf the search reaches passes
+    # the final basicness filter.  A weaker prune shows up as extra leaves.
+    from basiccovers import covers
+
+    leaves = []
+    check = covers._is_basic_values
+    g = random_connected_graph(random.Random(seed), n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            covers,
+            "_is_basic_values",
+            lambda g, vals, k: leaves.append(vals) or check(g, vals, k),
+        )
+        found = enumerate_basic_covers(g, k)
+    assert sorted(leaves) == [c.values for c in found]
+
+
 def test_count_agrees_with_enumeration():
     rng = random.Random(23)
     for _ in range(20):

@@ -1,5 +1,6 @@
 import gc
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,10 @@ from basiccovers.graph import (
     path_graph,
     star_graph,
 )
+from basiccovers.asl import verify_asl1
 from basiccovers.budget import SearchBudget
 from basiccovers.complexes import independence_complex, is_shellable
+from basiccovers.covers import enumerate_basic_covers
 from basiccovers.gdim import graphical_dimension
 from basiccovers.poset import build_poset, order_complex
 from basiccovers.projection import cm_equivalence_report
@@ -391,6 +394,17 @@ WHISKERED_TRIANGLE = Graph.from_edges([(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (
         (matching_number, lambda: complete_bipartite(3, 4)),
         (paired_domination_number, lambda: cycle_graph(10)),
         (cm_equivalence_report, lambda: WHISKERED_TRIANGLE),
+        (enumerate_perfect_matchings, lambda: cycle_graph(12)),
+        pytest.param(
+            partial(enumerate_basic_covers, k=3),
+            lambda: path_graph(8),
+            id="enumerate_basic_covers-<lambda>",
+        ),
+        pytest.param(
+            partial(verify_asl1, d=3),
+            lambda: build_poset(path_graph(7)),
+            id="verify_asl1-<lambda>",
+        ),
     ],
 )
 def test_searches_leave_no_reference_cycles(search, make_input):
