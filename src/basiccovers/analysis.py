@@ -1,5 +1,6 @@
 """Batch analysis of one graph: per-module summaries plus the cross-check
-table that recomputes each structural identity from two independent sides.
+table that compares each structural identity from two independent sides.
+Each input is computed once, and no row reads one value on both sides.
 
 Every cross-check row carries the claim tag, both computed sides and a
 verdict; rows whose search budget ran out are reported as skipped with the
@@ -13,7 +14,7 @@ from itertools import combinations
 
 from . import asl, covers, gdim, poset, projection
 from .budget import SearchBudget, default_budget
-from .errors import NotDistributive, SearchBudgetExceeded
+from .errors import MalformedInput, NotDistributive, SearchBudgetExceeded
 from .graph import (
     Graph,
     bipartition,
@@ -97,6 +98,21 @@ def _row(checks: list[CrossCheck], claim: str, thunk) -> None:
     checks.append(CrossCheck(claim, str(lhs), str(rhs), verdict, detail))
 
 
+def _attempt(thunk):
+    """The value of ``thunk()``, or the budget cut it raised in its place."""
+    try:
+        return thunk()
+    except SearchBudgetExceeded as exc:
+        return exc
+
+
+def _read(value):
+    """A value stored by :func:`_attempt`; a stored budget cut is raised again."""
+    if isinstance(value, SearchBudgetExceeded):
+        raise value
+    return value
+
+
 def analyze(
     g: Graph,
     max_h: int = 8,
@@ -104,6 +120,8 @@ def analyze(
     max_k: int = 3,
     budget: SearchBudget | None = None,
 ) -> AnalysisReport:
+    if max_k < 1:
+        raise MalformedInput(f"max_k must be >= 1, got {max_k}")
     budget = budget or default_budget()
     sides = bipartition(g)
     connected = is_connected(g)
@@ -123,28 +141,27 @@ def analyze(
     checks = report.cross_checks
 
     # covers section
+    hf = _attempt(lambda: [covers.hilbert_function(g, k, budget) for k in range(max_k + 1)])
     try:
-        hf = {k: covers.hilbert_function(g, k, budget) for k in range(0, max_k + 1)}
         report.sections["covers"] = {
-            "basic_cover_counts": [f"k={k}: {v}" for k, v in hf.items()],
+            "basic_cover_counts": [f"k={k}: {v}" for k, v in enumerate(_read(hf))],
         }
     except SearchBudgetExceeded as exc:
-        hf = None
         report.sections["covers"] = {"skipped": str(exc)}
+    levels = range(1, max_k + 1)
+    found = _attempt(lambda: [c for k in levels for c in covers.enumerate_basic_covers(g, k, budget)])
 
     # gdim section
+    result = _attempt(lambda: gdim.graphical_dimension(g, budget))
+    bounds = _attempt(lambda: gdim.gdim_bounds(g, budget))
     try:
-        result = gdim.graphical_dimension(g, budget)
-        bounds = gdim.gdim_bounds(g, budget)
         report.sections["graphical dimension"] = {
-            "gdim": result.gdim,
+            "gdim": _read(result).gdim,
             "certificate": result.certificate.to_lines(),
-            "lower_bound": bounds.lower,
+            "lower_bound": _read(bounds).lower,
             "upper_bound": bounds.upper,
         }
     except SearchBudgetExceeded as exc:
-        result = None
-        bounds = None
         report.sections["graphical dimension"] = {"skipped": str(exc)}
 
     # projection section
@@ -219,10 +236,10 @@ def analyze(
         }
 
     if wsc:
+        cm_eq = _attempt(lambda: projection.cm_equivalence_report(g, budget))
         try:
-            cm_eq = projection.cm_equivalence_report(g, budget)
             report.sections["cm equivalence"] = {
-                "unique_perfect_matching": cm_eq.unique_perfect_matching,
+                "unique_perfect_matching": _read(cm_eq).unique_perfect_matching,
                 "unique_right_edge_perfect_matching": cm_eq.unique_right_edge_perfect_matching,
                 "projection_fixed_point": cm_eq.projection_fixed_point,
                 "independence_complex_shellable": cm_eq.independence_complex_shellable,
@@ -238,7 +255,7 @@ def analyze(
     if connected:
         def dim_check():
             estimate = covers.krull_dimension_estimate(g, max_h, window, budget)
-            value = gdim.graphical_dimension(g, budget).gdim
+            value = _read(result).gdim
             if not estimate.stable:
                 return ("unstable", value, "counts did not stabilise")
             return (estimate.dimension, value, "")
@@ -256,8 +273,8 @@ def analyze(
         )
 
     def sandwich():
-        b = gdim.gdim_bounds(g, budget)
-        value = gdim.graphical_dimension(g, budget).gdim
+        b = _read(bounds)
+        value = _read(result).gdim
         return (True, b.lower <= value <= b.upper, f"{b.lower} <= {value} <= {b.upper}")
 
     _row(checks, "gdim-bounds-sandwich", sandwich)
@@ -266,59 +283,47 @@ def analyze(
         _row(
             checks,
             "tree-matching-formula",
-            lambda: (
-                gdim.graphical_dimension(g, budget).gdim,
-                matching_number(g) + 1,
-                "",
-            ),
+            lambda: (_read(result).gdim, matching_number(g) + 1, ""),
         )
 
     def projected_counts():
-        lhs = [covers.hilbert_function(g, k, budget) for k in range(1, max_k + 1)]
-        rhs = [
-            covers.hilbert_function(proj.pi_graph, k, budget)
-            for k in range(1, max_k + 1)
-        ]
+        lhs = _read(hf)[1:]
+        rhs = [covers.hilbert_function(proj.pi_graph, k, budget) for k in levels]
         return (lhs, rhs, "")
 
     _row(checks, "projection-preserves-cover-counts", projected_counts)
 
     def transport_round_trip():
-        total = 0
-        for k in range(1, max_k + 1):
-            for cover in covers.enumerate_basic_covers(g, k, budget):
-                if projection.lift_cover(proj, projection.project_cover(proj, cover)) != cover:
-                    return (False, True, f"round trip failed at level {k}")
-                total += 1
-        return (True, True, f"{total} covers transported")
+        for cover in _read(found):
+            if projection.lift_cover(proj, projection.project_cover(proj, cover)) != cover:
+                return (False, True, f"round trip failed at level {cover.level}")
+        return (True, True, f"{len(found)} covers transported")
 
     _row(checks, "projection-cover-round-trip", transport_round_trip)
 
     def right_edge_tightness():
         rights = projection.right_edges(g)
-        for k in range(1, max_k + 1):
-            for cover in covers.enumerate_basic_covers(g, k, budget):
-                for u, v in rights:
-                    if cover.values[u - 1] + cover.values[v - 1] != k:
-                        return (False, True, f"edge {u}-{v} loose at level {k}")
+        for cover in _read(found):
+            for u, v in rights:
+                if cover.values[u - 1] + cover.values[v - 1] != cover.level:
+                    return (False, True, f"edge {u}-{v} loose at level {cover.level}")
         return (True, True, f"{len(rights)} right edges checked")
 
     _row(checks, "right-edges-always-tight", right_edge_tightness)
 
     def low_half():
-        for k in range(1, max_k + 1):
-            for cover in covers.enumerate_basic_covers(g, k, budget):
-                partial = covers.low_half_vertices(cover)
-                if covers.reconstruct_from_low_half(g, k, partial) != cover:
-                    return (False, True, f"reconstruction failed at level {k}")
+        for cover in _read(found):
+            partial = covers.low_half_vertices(cover)
+            if covers.reconstruct_from_low_half(g, cover.level, partial) != cover:
+                return (False, True, f"reconstruction failed at level {cover.level}")
         return (True, True, "")
 
     _row(checks, "low-half-reconstruction", low_half)
 
     if cover_poset is not None:
         def multichain_counts():
-            lhs = [poset.count_multichains(cover_poset, d) for d in range(1, max_k + 1)]
-            rhs = [covers.hilbert_function(g, d, budget) for d in range(1, max_k + 1)]
+            lhs = [poset.count_multichains(cover_poset, d) for d in levels]
+            rhs = _read(hf)[1:]
             return (lhs, rhs, "")
 
         _row(checks, "multichain-vs-cover-counts", multichain_counts)
@@ -332,9 +337,8 @@ def analyze(
         _row(checks, "meet-join-sum-identity", sum_identity)
 
         def domain_agreement():
-            rep = asl.is_domain_report(g, budget)
-            detail = "order-lattice diverges from straightenings; flagged" if rep.lattice_divergence else ""
-            return (rep.wsc, rep.all_straightenings_nonzero, detail)
+            detail = "order-lattice diverges from straightenings; flagged" if domain.lattice_divergence else ""
+            return (domain.wsc, domain.all_straightenings_nonzero, detail)
 
         _row(checks, "wsc-vs-nonzero-straightenings", domain_agreement)
 
@@ -342,16 +346,12 @@ def analyze(
             _row(
                 checks,
                 "poset-rank-vs-gdim",
-                lambda: (
-                    poset.rank(cover_poset) + 1,
-                    gdim.graphical_dimension(g, budget).gdim,
-                    "",
-                ),
+                lambda: (poset.rank(cover_poset) + 1, _read(result).gdim, ""),
             )
 
     if wsc:
         def cm_agreement():
-            rep = projection.cm_equivalence_report(g, budget)
+            rep = _read(cm_eq)
             values = set(rep.computed().values())
             return (len(values) <= 1, True, f"computed: {rep.computed()}")
 

@@ -12,8 +12,8 @@ Enumeration and counting take separate routes, so each checks the other.
 The enumerator is a depth-first search over vertex values with three exact
 prunes (edge feasibility, the value ceiling k, and achievable tightness),
 run on a static schedule: the vertex order is fixed, so each position's
-placed neighbours and the neighbours it completes are precomputed.  A
-final basicness filter keeps correctness independent of the pruning.
+placed neighbours and the neighbours it completes are precomputed.  The
+prunes are exact: every leaf the search reaches is a basic cover.
 The counter never lists a cover: it runs the transfer-matrix method over a
 vertex order that keeps the frontier of partly constrained vertices
 narrow, so its cost follows the number of frontier states rather than the
@@ -231,9 +231,7 @@ def _basic_cover_search(g: Graph, k: int) -> list[tuple[int, ...]]:
                 return
             values[v] = lo
             i += 1
-        vals = tuple(values)
-        if _is_basic_values(g, vals, k):
-            found.append(vals)
+        found.append(tuple(values))
 
     assign(0)
     # assign refers to itself through its closure; clearing the name breaks

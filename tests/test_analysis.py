@@ -1,0 +1,131 @@
+"""The analysis pipeline computes each input once, and every cross-check
+row still compares two independent sources.
+
+Calls are counted in every package namespace that holds a function, as the
+benchmark tracer counts them: ``projection`` imports ``graphical_dimension``
+by name and ``poset`` imports ``enumerate_basic_covers``, so patching only
+the defining module would miss those calls.
+"""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+import basiccovers
+from basiccovers import covers, gdim
+from basiccovers.analysis import FAIL, OK, analyze
+from basiccovers.fixtures import fixture
+from basiccovers.graph import Graph
+
+COUNTED = (
+    "gdim.graphical_dimension",
+    "gdim.gdim_bounds",
+    "covers.enumerate_basic_covers",
+    "covers.hilbert_function",
+    "asl.is_domain_report",
+    "projection.cm_equivalence_report",
+)
+
+
+def fresh(name: str) -> Graph:
+    # A new graph object, so no cover poset memoised on the shared fixture
+    # by an earlier test can stand in for a build.
+    g = fixture(name)
+    return Graph(g.vertex_count, g.edges)
+
+
+def count_calls(monkeypatch) -> tuple[Counter, Counter]:
+    """Wrap each COUNTED function in every namespace that holds it; returns
+    the call counts per function and per (function, graph, level) key."""
+    modules = [basiccovers] + [
+        importlib.import_module(f"basiccovers.{info.name}")
+        for info in pkgutil.iter_modules(basiccovers.__path__)
+    ]
+    calls: Counter = Counter()
+    keys: Counter = Counter()
+    for target in COUNTED:
+        module_name, attr = target.split(".")
+        original = getattr(importlib.import_module(f"basiccovers.{module_name}"), attr)
+
+        def counted(*args, _fn=original, _name=attr, **kwargs):
+            calls[_name] += 1
+            keys[(_name, id(args[0]), args[1] if len(args) > 1 else None)] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if module.__dict__.get(attr) is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls, keys
+
+
+def verdicts(report) -> dict[str, str]:
+    return {row.claim: row.verdict for row in report.cross_checks}
+
+
+def test_analyze_computes_each_input_once(monkeypatch):
+    g = fresh("E7")
+    calls, keys = count_calls(monkeypatch)
+    report = analyze(g)
+    assert not report.failed
+    assert calls == Counter(
+        {
+            # one from analyze, one inside regularity_report
+            "graphical_dimension": 2,
+            "gdim_bounds": 1,
+            # one per level 1..3, plus the one inside build_poset
+            "enumerate_basic_covers": 4,
+            # k = 0..3 on g, k = 1..3 on the projection, k = 2, 4, ..., 16
+            # inside krull_dimension_estimate
+            "hilbert_function": 15,
+            "is_domain_report": 1,
+        }
+    )
+    # Only (g, 2) repeats: the dimension estimate keeps its own counts.
+    repeats = [key for key, n in keys.items() if key[0] == "hilbert_function" and n > 1]
+    assert repeats == [("hilbert_function", id(g), 2)]
+
+
+def test_analyze_runs_the_cm_equivalence_report_once(monkeypatch):
+    g = fresh("K23")
+    calls, _ = count_calls(monkeypatch)
+    report = analyze(g)
+    assert verdicts(report)["cm-conditions-agree"] == OK
+    assert calls["cm_equivalence_report"] == 1
+
+
+@pytest.fixture()
+def gdim_off_by_one(monkeypatch):
+    original = gdim.graphical_dimension
+
+    def shifted(g, budget=None):
+        result = original(g, budget)
+        return replace(result, gdim=result.gdim + 1)
+
+    monkeypatch.setattr(gdim, "graphical_dimension", shifted)
+
+
+@pytest.mark.usefixtures("gdim_off_by_one")
+def test_a_wrong_gdim_fails_every_row_that_reads_it():
+    rows = verdicts(analyze(fresh("E7")))
+    assert rows["dimension-estimate-vs-search"] == FAIL
+    assert rows["poset-rank-vs-gdim"] == FAIL
+    assert verdicts(analyze(fresh("P6")))["tree-matching-formula"] == FAIL
+
+
+def test_a_wrong_host_count_fails_every_row_that_reads_it(monkeypatch):
+    g = fresh("E7")
+    original = covers.hilbert_function
+
+    def perturbed(graph, k, budget=None):
+        return original(graph, k, budget) + (graph is g and k == 1)
+
+    monkeypatch.setattr(covers, "hilbert_function", perturbed)
+    rows = verdicts(analyze(g))
+    assert rows["multichain-vs-cover-counts"] == FAIL
+    assert rows["projection-preserves-cover-counts"] == FAIL
+    assert rows["dimension-estimate-vs-search"] == OK

@@ -186,6 +186,17 @@ def test_malformed_json_document_exit_code(capsys, tmp_path, doc):
     assert json.loads(err)["error"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_analyze_rejects_a_cover_level_below_one(capsys, corpus_dir, k):
+    # Neither falls back to the default levels nor compares empty lists.
+    code, out, err = run(capsys, ["analyze", str(corpus_dir / "c4.edges"), "--k", k])
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "MalformedInput"
+    assert doc["exit_code"] == 1
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["covers", str(tmp_path / "missing.edges")])
     assert code == 1

@@ -133,21 +133,17 @@ def test_enumeration_matches_brute_force_random():
 @settings(max_examples=80, deadline=None)
 def test_search_prunes_leave_only_basic_leaves(seed, n, k):
     # The prunes are exact: every vertex is settled, zero or tight, once
-    # its last neighbour is placed, so each leaf the search reaches passes
-    # the final basicness filter.  A weaker prune shows up as extra leaves.
-    from basiccovers import covers
+    # its last neighbour is placed, so each leaf the search reaches is a
+    # basic cover.  A weaker prune shows up as a non-basic leaf, and a
+    # stronger one as a leaf count below the frontier DP's, which shares
+    # no code with the search.
+    from basiccovers.covers import _basic_cover_search
 
-    leaves = []
-    check = covers._is_basic_values
     g = random_connected_graph(random.Random(seed), n)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            covers,
-            "_is_basic_values",
-            lambda g, vals, k: leaves.append(vals) or check(g, vals, k),
-        )
-        found = enumerate_basic_covers(g, k)
-    assert sorted(leaves) == [c.values for c in found]
+    leaves = _basic_cover_search(g, k)
+    assert len(set(leaves)) == len(leaves)
+    assert all(is_basic(g, Cover(vals, k)) for vals in leaves)
+    assert len(leaves) == count_basic_covers(g, k)
 
 
 def test_count_agrees_with_enumeration():
