@@ -25,7 +25,6 @@ from .gdim import (
 )
 from .graph import (
     Graph,
-    Matching,
     bipartition,
     enumerate_perfect_matchings,
     induced_matching_number,
@@ -54,7 +53,6 @@ __all__ = [
     "GdimResult",
     "Graph",
     "HilbertData",
-    "Matching",
     "ProjectionReport",
     "SearchBudget",
     "bipartition",

@@ -20,7 +20,6 @@ from .graph import (
     bipartition,
     is_connected,
     is_tree,
-    matching_number,
 )
 
 OK = "ok"
@@ -283,7 +282,7 @@ def analyze(
         _row(
             checks,
             "tree-matching-formula",
-            lambda: (_read(result).gdim, matching_number(g) + 1, ""),
+            lambda: (_read(result).gdim, gdim.tree_gdim(g), ""),
         )
 
     def projected_counts():

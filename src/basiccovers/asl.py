@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .budget import SearchBudget
-from .covers import Cover, _is_basic_k_cover, enumerate_basic_covers, is_basic
+from .covers import Cover, _is_basic_k_cover, enumerate_basic_covers
 from .errors import (
     DimensionMismatch,
     EquivalenceViolation,
@@ -169,30 +169,6 @@ def verify_sum_identity(poset: CoverPoset, x: Cover, y: Cover) -> bool:
     )
 
 
-def multichain_to_cover(poset: CoverPoset, chain) -> Cover:
-    """Sum a weakly increasing sequence of poset elements into a basic
-    cover of level d; a non-basic sum contradicts the correspondence and
-    raises as a bug."""
-    chain = list(chain)
-    if not chain:
-        raise NotAMultichain("a multichain needs at least one element")
-    try:
-        indices = [poset.index_of(c) for c in chain]
-    except MalformedInput:
-        raise NotAMultichain("multichain entries must be poset elements") from None
-    for a, b, i, j in zip(chain, chain[1:], indices, indices[1:]):
-        if not poset.leq_by_index(i, j):
-            raise NotAMultichain(
-                f"{poset.label_of(a)} is not below {poset.label_of(b)}"
-            )
-    total = chain[0]
-    for c in chain[1:]:
-        total = total + c
-    if not is_basic(poset.graph, total):
-        raise SumNotBasic("a multichain summed to a non-basic cover")
-    return total
-
-
 def verify_asl1(
     poset: CoverPoset, d: int, budget: SearchBudget | None = None
 ) -> bool:
@@ -201,9 +177,10 @@ def verify_asl1(
     Both sides are produced independently: multichains by direct
     enumeration over the poset, covers by a fresh exact cover search.  The
     multichains grow one element at a time along the up-lists, each
-    carrying its value sum; every d-element sum must be a basic d-cover,
-    as :func:`multichain_to_cover` requires, and distinct multichains must
-    have distinct sums.
+    carrying its value sum; every d-element sum must be a basic d-cover
+    (a non-basic sum contradicts the correspondence and raises
+    :class:`SumNotBasic` as a bug), and distinct multichains must have
+    distinct sums.
 
     Basicness of the sums is decided on masks.  Every element is first
     checked to be a basic 1-cover with nonnegative values.  A sum S of d

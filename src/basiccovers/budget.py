@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import SearchBudgetExceeded
+from .errors import MalformedInput, SearchBudgetExceeded
 
 ENV_VAR = "BASICCOVERS_BUDGET"
 
@@ -32,6 +32,10 @@ class SearchBudget:
     @classmethod
     def scaled(cls, max_vertices: int) -> "SearchBudget":
         """Budget with the given vertex limit and proportional edge limit."""
+        if max_vertices < 1:
+            raise MalformedInput(
+                f"budget must be a positive vertex limit, got {max_vertices}"
+            )
         return cls(max_vertices=max_vertices, max_edges=3 * max_vertices)
 
     def check_graph(self, n: int, m: int, operation: str) -> None:
@@ -56,10 +60,8 @@ def default_budget() -> SearchBudget:
         return SearchBudget()
     try:
         limit = int(raw)
-        if limit < 1:
-            raise ValueError
     except ValueError:
-        raise SearchBudgetExceeded(
+        raise MalformedInput(
             f"invalid {ENV_VAR} value {raw!r}: expected a positive integer"
         ) from None
     return SearchBudget.scaled(limit)

@@ -204,10 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = (
-        SearchBudget.scaled(args.budget) if args.budget is not None else default_budget()
-    )
     try:
+        budget = (
+            SearchBudget.scaled(args.budget)
+            if args.budget is not None
+            else default_budget()
+        )
         return args.func(args, budget)
     except SearchBudgetExceeded as exc:
         _error_doc(exc, 2)

@@ -31,7 +31,6 @@ from .errors import (
     NotACover,
     NotConnected,
     NotDominating,
-    SearchBudgetExceeded,
 )
 from .graph import Graph, check_values, is_connected
 
@@ -43,19 +42,8 @@ class Cover:
     values: tuple[int, ...]
     level: int
 
-    def value(self, v: int) -> int:
-        return self.values[v - 1]
-
     def to_line(self) -> str:
         return f"k={self.level} " + " ".join(str(x) for x in self.values)
-
-    def __add__(self, other: "Cover") -> "Cover":
-        if len(self.values) != len(other.values):
-            raise MalformedInput("cannot add covers of different graphs")
-        return Cover(
-            tuple(a + b for a, b in zip(self.values, other.values)),
-            self.level + other.level,
-        )
 
 
 def is_k_cover(g: Graph, values, k: int) -> bool:
@@ -91,53 +79,6 @@ def _is_basic_values(g: Graph, vals: tuple[int, ...], k: int) -> bool:
         if x and k - x not in map(get, nbrs):
             return False
     return True
-
-
-def is_decomposable(
-    g: Graph, cover: Cover, k: int, budget: SearchBudget | None = None
-) -> bool:
-    """Does cover split as an h-cover plus a (k-h)-cover with 1 <= h <= k-1?
-
-    Exact search over componentwise-smaller candidates; splits involving a
-    0-cover are the business of :func:`is_basic`, not this predicate.
-    """
-    if not is_k_cover(g, cover.values, k):
-        raise NotACover(f"values are not a {k}-cover")
-    if k < 2:
-        return False
-    vals = cover.values
-    space = 1
-    for x in vals:
-        space *= x + 1
-        if space > 4_000_000:
-            raise SearchBudgetExceeded(
-                "is_decomposable: candidate space exceeds 4e6 assignments"
-            )
-    n = g.vertex_count
-    beta = [0] * n
-
-    def feasible_split() -> bool:
-        beta_min = min(beta[u - 1] + beta[v - 1] for u, v in g.edges)
-        gamma_min = min(
-            (vals[u - 1] - beta[u - 1]) + (vals[v - 1] - beta[v - 1])
-            for u, v in g.edges
-        )
-        if not any(beta) or not any(vals[i] - beta[i] for i in range(n)):
-            return False
-        # beta is an h-cover iff h <= beta_min; the complement needs k-h <= gamma_min.
-        return max(1, k - gamma_min) <= min(k - 1, beta_min)
-
-    def search(i: int) -> bool:
-        if i == n:
-            return feasible_split()
-        for x in range(vals[i] + 1):
-            beta[i] = x
-            if search(i + 1):
-                return True
-        beta[i] = 0
-        return False
-
-    return search(0)
 
 
 # --- exact enumeration -------------------------------------------------------

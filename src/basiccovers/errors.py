@@ -100,20 +100,8 @@ class NotWsc(BasicCoversError):
     """The graph does not satisfy the weak square condition."""
 
 
-class NotWscFixedPoint(BasicCoversError):
-    """The graph is not a projection fixed point of a WSC graph."""
-
-
 class NotConstantOnBlock(BasicCoversError):
     """A cover takes two values on one projection block (so it is not basic)."""
-
-
-class OrderViolation(BasicCoversError):
-    """The induced relation on matched vertices failed antisymmetry.
-
-    Like :class:`SumNotBasic` this contradicts a proved fact and signals
-    a bug.
-    """
 
 
 class StructureViolation(BasicCoversError):

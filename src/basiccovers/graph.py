@@ -168,28 +168,6 @@ class Graph:
         return str(v)
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint edges."""
-
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        used: set[int] = set()
-        for u, v in self.edges:
-            if u in used or v in used:
-                raise MalformedInput("matching edges must be pairwise disjoint")
-            used.add(u)
-            used.add(v)
-
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
-
-
 # --- parsing --------------------------------------------------------------
 
 
@@ -454,15 +432,16 @@ def matching_number(g: Graph) -> int:
 
 def enumerate_perfect_matchings(
     g: Graph, budget: SearchBudget | None = None
-) -> list[Matching]:
-    """All perfect matchings, sorted; empty list if none exist."""
+) -> list[tuple[Edge, ...]]:
+    """All perfect matchings as sorted edge tuples, in sorted order; empty
+    list if none exist."""
     budget = budget or default_budget()
     budget.check_graph(g.vertex_count, g.edge_count, "enumerate_perfect_matchings")
     if g.vertex_count % 2 == 1:
         return []
-    found: list[frozenset[Edge]] = []
+    found: list[tuple[Edge, ...]] = []
     _extend_perfect(g, frozenset(g.vertices), [], found)
-    return [Matching(e) for e in sorted(found, key=sorted)]
+    return sorted(found)
 
 
 def _extend_perfect(
@@ -472,7 +451,7 @@ def _extend_perfect(
     ``uncovered`` that extends ``chosen``, matching the least uncovered
     vertex first."""
     if not uncovered:
-        found.append(frozenset(chosen))
+        found.append(tuple(sorted(chosen)))
         return
     v = min(uncovered)
     for w in sorted(g.neighbors(v)):

@@ -2,12 +2,11 @@
 
 Covers are compared componentwise on the smaller bipartition side A; the
 poset is always bounded (all-zero and all-one A-patterns are basic).  On
-top of the raw order this module provides the meet/join candidate covers
-(componentwise min/max crossed over the two sides, which may fail to be
-basic), lattice and distributivity tests, the join-irreducible poset of a
-distributive lattice, order complexes, multichain counting, and the
-combined purity/shellability report that decides Cohen-Macaulayness
-combinatorially.
+top of the raw order this module provides the crossed min/max values of
+two covers (which may fail to be basic), lattice and distributivity tests,
+the join-irreducible poset of a distributive lattice, order complexes,
+multichain counting, and the combined purity/shellability report that
+decides Cohen-Macaulayness combinatorially.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from itertools import combinations
 
 from .budget import SearchBudget, default_budget
 from .complexes import SimplicialComplex, is_shellable, is_strongly_connected
-from .covers import Cover, enumerate_basic_covers, is_basic
+from .covers import Cover, enumerate_basic_covers
 from .errors import (
     EquivalenceViolation,
     MalformedInput,
@@ -192,10 +191,6 @@ class CoverPoset:
         """Longest-chain height of each element above the minimal elements."""
         return self.height_range[1]
 
-    def maximal_chains(self) -> list[tuple[Cover, ...]]:
-        elements = self.elements
-        return [tuple(elements[i] for i in chain) for chain in self._index_chains()]
-
     def _index_chains(self) -> list[tuple[int, ...]]:
         """Maximal chains as index tuples, from each minimal element up the
         Hasse diagram, lowest index first at every step."""
@@ -232,38 +227,29 @@ def _label(pattern: tuple[int, ...]) -> str:
     return "".join(map(str, pattern))
 
 
-# The graph's instance dict holds a weak reference to its "smaller" poset,
-# so the poset (which holds the graph) and the graph form no cycle, and the
+# The graph's instance dict holds a weak reference to its poset, so the
+# poset (which holds the graph) and the graph form no cycle, and the
 # memo lasts exactly as long as some caller keeps the poset.
 _POSET_MEMO = "_cover_poset"
 
 
-def build_poset(
-    g: Graph, budget: SearchBudget | None = None, side: str = "smaller"
-) -> CoverPoset:
-    """The poset of basic 1-covers ordered on the chosen bipartition side.
+def build_poset(g: Graph, budget: SearchBudget | None = None) -> CoverPoset:
+    """The poset of basic 1-covers ordered on the smaller bipartition side
+    A (|A| <= |B|).
 
-    ``side`` is ``"smaller"`` (the default, |A| <= |B|) or ``"larger"``,
-    which yields the order-dual poset and exists for the duality tests.
-
-    The ``"smaller"`` poset is memoised per graph instance for as long as
-    a caller holds it, so the reports that take a graph reuse the poset
-    the caller built.  A memo hit still checks the graph against
-    ``budget``, exactly as building it would.
+    The poset is memoised per graph instance for as long as a caller holds
+    it, so the reports that take a graph reuse the poset the caller built.
+    A memo hit still checks the graph against ``budget``, exactly as
+    building it would.
     """
-    if side == "smaller":
-        ref = g.__dict__.get(_POSET_MEMO)
-        poset = ref() if ref is not None else None
-        if poset is not None:
-            (budget or default_budget()).check_graph(
-                g.vertex_count, g.edge_count, "enumerate_basic_covers"
-            )
-            return poset
+    ref = g.__dict__.get(_POSET_MEMO)
+    poset = ref() if ref is not None else None
+    if poset is not None:
+        (budget or default_budget()).check_graph(
+            g.vertex_count, g.edge_count, "enumerate_basic_covers"
+        )
+        return poset
     side_a, side_b = require_bipartite(g)
-    if side == "larger":
-        side_a, side_b = side_b, side_a
-    elif side != "smaller":
-        raise MalformedInput(f"side must be 'smaller' or 'larger', got {side!r}")
     elements = enumerate_basic_covers(g, 1, budget)
     a = tuple(sorted(side_a))
     b = tuple(sorted(side_b))
@@ -271,12 +257,11 @@ def build_poset(
         sorted(elements, key=lambda c: tuple(c.values[v - 1] for v in a))
     )
     poset = CoverPoset(g, elements, a, b)
-    if side == "smaller":
-        g.__dict__[_POSET_MEMO] = weakref.ref(poset)
+    g.__dict__[_POSET_MEMO] = weakref.ref(poset)
     return poset
 
 
-# --- meet / join candidates ---------------------------------------------------
+# --- crossed min/max values ----------------------------------------------------
 
 
 def _mix(poset: CoverPoset, x: Cover, y: Cover, min_on_a: bool) -> Cover:
@@ -300,18 +285,6 @@ def join_values(poset: CoverPoset, x: Cover, y: Cover) -> Cover:
     return _mix(poset, x, y, min_on_a=False)
 
 
-def meet_candidate(poset: CoverPoset, x: Cover, y: Cover) -> Cover | None:
-    """The min/max cover when basic, else None (it then cannot be the infimum
-    realised inside the poset by this formula)."""
-    cand = meet_values(poset, x, y)
-    return cand if is_basic(poset.graph, cand) else None
-
-
-def join_candidate(poset: CoverPoset, x: Cover, y: Cover) -> Cover | None:
-    cand = join_values(poset, x, y)
-    return cand if is_basic(poset.graph, cand) else None
-
-
 # --- order-theoretic structure -------------------------------------------------
 
 
@@ -332,16 +305,6 @@ def is_pure(poset: CoverPoset) -> bool:
     shortest, longest = poset.height_range
     maximal = [i for i, up in enumerate(poset.up_sets) if up == 1 << i]
     return min(shortest[i] for i in maximal) == max(longest[i] for i in maximal)
-
-
-def infimum(poset: CoverPoset, x: Cover, y: Cover) -> Cover | None:
-    idx = poset.meet_index(poset.index_of(x), poset.index_of(y))
-    return poset.elements[idx] if idx is not None else None
-
-
-def supremum(poset: CoverPoset, x: Cover, y: Cover) -> Cover | None:
-    idx = poset.join_index(poset.index_of(x), poset.index_of(y))
-    return poset.elements[idx] if idx is not None else None
 
 
 def is_lattice(poset: CoverPoset) -> bool:

@@ -15,7 +15,8 @@ import pytest
 
 from basiccovers.covers import is_k_cover
 from basiccovers.fixtures import FIXTURE_NAMES, corpus, verify_corpus
-from basiccovers.graph import Graph, Matching
+from basiccovers.graph import Graph
+from basiccovers.poset import CoverPoset
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -147,8 +148,9 @@ def brute_force_matching_number(g: Graph) -> int:
     return best
 
 
-def enumerate_matchings(g: Graph) -> list[Matching]:
-    """All matchings of g, the empty one included, by exhaustive search."""
+def enumerate_matchings(g: Graph) -> list[frozenset]:
+    """All matchings of g as edge sets, the empty one included, by
+    exhaustive search."""
     edges = g.edges
     out: list[frozenset] = []
 
@@ -160,7 +162,7 @@ def enumerate_matchings(g: Graph) -> list[Matching]:
                 extend(i + 1, chosen + [edges[i]], used | {u, v})
 
     extend(0, [], set())
-    return [Matching(e) for e in out]
+    return out
 
 
 def brute_force_paired_domination(g: Graph) -> int:
@@ -179,9 +181,9 @@ def brute_force_paired_domination(g: Graph) -> int:
         )
 
     return min(
-        2 * len(m.edges)
+        2 * len(m)
         for m in enumerate_matchings(g)
-        if m.edges and dominates({v for e in m.edges for v in e})
+        if m and dominates({v for e in m for v in e})
     )
 
 
@@ -227,3 +229,10 @@ def brute_force_least_free_parameter_sequence(
 def brute_force_gdim(g: Graph) -> int:
     """Longest free parameter sequence plus one, from the scan above."""
     return len(brute_force_least_free_parameter_sequence(g)[0]) + 1
+
+
+def maximal_chains(poset: CoverPoset) -> list[tuple]:
+    """The maximal chains of the poset's Hasse walk (the one its order
+    complex is built from), as tuples of covers."""
+    elements = poset.elements
+    return [tuple(elements[i] for i in chain) for chain in poset._index_chains()]

