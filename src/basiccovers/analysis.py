@@ -115,7 +115,6 @@ def _read(value):
 def analyze(
     g: Graph,
     max_h: int = 8,
-    window: int = 3,
     max_k: int = 3,
     budget: SearchBudget | None = None,
 ) -> AnalysisReport:
@@ -194,7 +193,7 @@ def analyze(
     if sides is not None:
         cover_poset = poset.build_poset(g, budget)
         section: dict = {
-            "elements": [cover_poset.label_of(c) for c in cover_poset.elements],
+            "elements": list(cover_poset.labels),
             "hasse": cover_poset.hasse_lines(),
             "pure": poset.is_pure(cover_poset),
             "rank": poset.rank(cover_poset),
@@ -253,7 +252,7 @@ def analyze(
 
     if connected:
         def dim_check():
-            estimate = covers.krull_dimension_estimate(g, max_h, window, budget)
+            estimate = covers.krull_dimension_estimate(g, max_h, budget)
             value = _read(result).gdim
             if not estimate.stable:
                 return ("unstable", value, "counts did not stabilise")

@@ -8,10 +8,11 @@ checked through two finite consequences: the rewriting rules are quadratic
 by construction, and d-multichains biject with basic d-covers, so the two
 counts must agree at every degree.
 
-Both checks run on int masks.  A basic 1-cover is a 0/1 vector, so the
-crossed covers of a pair are two bit operations and their basicness a
-test on neighbour masks; a multichain sum is basic exactly when its
-support lies inside the endpoints of the edges tight in every summand.
+Both checks run on the poset's element masks (:attr:`CoverPoset.masks`,
+bit v set when vertex v has value 1).  The crossed covers of a pair are
+two bit operations and their basicness a test on neighbour masks; a
+multichain sum is basic exactly when its support lies inside the
+endpoints of the edges tight in every summand.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .budget import SearchBudget
-from .covers import Cover, _is_basic_k_cover, enumerate_basic_covers
+from .covers import Cover, enumerate_basic_covers
 from .errors import (
     DimensionMismatch,
     EquivalenceViolation,
@@ -82,15 +83,13 @@ def straightening_relations(poset: CoverPoset) -> list[StraighteningRelation]:
 
 
 def _straighten(poset: CoverPoset) -> Iterator[StraighteningRelation]:
-    """The relations on 0/1 bitmasks (bit v is vertex v).
+    """The relations on the element masks.
 
-    Every element is a basic 1-cover, so its values are 0 or 1 and it is
-    one int.  The meet takes the min on A and the max on B, the join the
-    dual, and either is an element exactly when it is a basic 1-cover.
+    The meet takes the min on A and the max on B, the join the dual, and
+    either is an element exactly when it is a basic 1-cover.
     """
-    g, elements = poset.graph, poset.elements
+    g, elements, bits = poset.graph, poset.elements, poset.masks
     up, down = poset.up_sets, poset.down_sets
-    bits = _zero_one_masks(poset)
     by_bits = {m: i for i, m in enumerate(bits)}
     side_a = sum(1 << v for v in poset.side_a)
     side_b = sum(1 << v for v in poset.side_b)
@@ -126,16 +125,6 @@ def _straighten(poset: CoverPoset) -> Iterator[StraighteningRelation]:
             yield StraighteningRelation(
                 (elements[i], elements[j]), (elements[m], elements[t])
             )
-
-
-def _zero_one_masks(poset: CoverPoset) -> list[int]:
-    """Each element as the mask of its vertices with value 1."""
-    masks = []
-    for c in poset.elements:
-        if not set(c.values) <= {0, 1}:
-            raise MalformedInput(f"{c!r} is not a 0/1 cover")
-        masks.append(sum(1 << v for v, x in enumerate(c.values, start=1) if x))
-    return masks
 
 
 def _is_basic_one_cover(nbr: tuple[int, ...], ones: int) -> bool:
@@ -182,23 +171,23 @@ def verify_asl1(
     :class:`SumNotBasic` as a bug), and distinct multichains must have
     distinct sums.
 
-    Basicness of the sums is decided on masks.  Every element is first
-    checked to be a basic 1-cover with nonnegative values.  A sum S of d
-    of them is then a d-cover, and an edge is tight in S (sums to exactly
-    d) iff it is tight (sums to exactly 1) in every summand, since each
-    summand puts at least 1 on it.  So the tight edges of S are the AND of
-    the summands' tight-edge masks, and the positive vertices of S the OR
-    of their support masks.  S is basic iff every positive vertex lies on
-    a tight edge, that is, iff its support lies inside the endpoints of
-    the AND mask.  The endpoints are computed once per mask.
+    Basicness of the sums is decided on the element masks.  Every element
+    is first checked to be a basic 1-cover; the poset holds only 0/1
+    elements.  A sum S of d of them is then a d-cover, and an edge is tight
+    in S (sums to exactly d) iff it is tight (sums to exactly 1) in every
+    summand, since each summand puts at least 1 on it.  So the tight edges
+    of S are the AND of the summands' tight-edge masks, and the positive
+    vertices of S the OR of their element masks.  S is basic iff every
+    positive vertex lies on a tight edge, that is, iff its support lies
+    inside the endpoints of the AND mask.  The endpoints are computed once
+    per mask.
     """
     if d < 1:
         raise NotAMultichain("degree must be >= 1")
     g = poset.graph
-    for c in poset.elements:
-        if min(c.values) < 0:
-            raise MalformedInput("cover values must be nonnegative")
-        if not _is_basic_k_cover(g, c.values, 1):
+    nbr = g.neighbour_masks
+    for m in poset.masks:
+        if not _is_basic_one_cover(nbr, m):
             raise SumNotBasic("a multichain summed to a non-basic cover")
     ends: dict[int, int] = {}
     images: set[tuple[int, ...]] = set()
@@ -219,12 +208,11 @@ def verify_asl1(
 def _multichain_sums(
     poset: CoverPoset, d: int
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(value sum, AND of tight-edge masks, OR of support masks) of every
-    d-element multichain."""
-    g, ups = poset.graph, poset.up_lists
+    """(value sum, AND of tight-edge masks, OR of element masks) of every
+    d-element multichain; the OR is the support of the sum."""
+    g, ups, support = poset.graph, poset.up_lists, poset.masks
     values = [c.values for c in poset.elements]
-    tight = [_tight_edges(g, vals) for vals in values]
-    support = [_support(vals) for vals in values]
+    tight = [_tight_edges(g, m) for m in support]
     # (last element, value sum, tight AND, support OR) of every multichain,
     # one element longer per level.  The levels are chained generators, so
     # none is held in full.
@@ -238,18 +226,12 @@ def _multichain_sums(
     return ((total, t, s) for _, total, t, s in chains)
 
 
-def _tight_edges(g: Graph, vals: tuple[int, ...]) -> int:
-    """Bit e set for each edge ``g.edges[e]`` whose ends sum to 1."""
+def _tight_edges(g: Graph, ones: int) -> int:
+    """Bit e set for each edge ``g.edges[e]`` with exactly one end in the
+    0/1 assignment's ``ones``: the edges whose ends sum to 1."""
     return sum(
-        1 << e
-        for e, (u, v) in enumerate(g.edges)
-        if vals[u - 1] + vals[v - 1] == 1
+        1 << e for e, (u, v) in enumerate(g.edges) if (ones >> u ^ ones >> v) & 1
     )
-
-
-def _support(vals: tuple[int, ...]) -> int:
-    """Bit v set for each vertex v with a positive value."""
-    return sum(1 << v for v, x in enumerate(vals, start=1) if x > 0)
 
 
 def _tight_ends(g: Graph, tight: int) -> int:

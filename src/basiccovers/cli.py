@@ -4,9 +4,9 @@ Subcommands cover the batch pipeline (``analyze``), cover enumeration
 (``covers``), the dimension search (``gdim``), the projection and poset
 reports, and writing the bundled fixture corpus.  Output is deterministic;
 ``--format structured`` switches from text to JSON.  Exit codes: 0 on
-success with all cross-checks passing, 1 on input errors or failed
-cross-checks, 2 on an exhausted search budget.  Errors are emitted as a
-JSON document on stderr.
+success with all cross-checks passing, 1 on input errors (usage errors
+included) or failed cross-checks, 2 on an exhausted search budget.
+Errors are emitted as a JSON document on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import analysis, asl, gdim, poset, projection
 from .budget import ENV_VAR, SearchBudget, default_budget
 from .covers import enumerate_basic_covers
-from .errors import BasicCoversError, SearchBudgetExceeded
+from .errors import BasicCoversError, MalformedInput, SearchBudgetExceeded
 from .fixtures import write_corpus
 from .graph import Graph, parse_graph
 
@@ -40,9 +40,7 @@ def _emit(doc: dict, text: str, fmt: str) -> None:
 
 def _cmd_analyze(args, budget: SearchBudget) -> int:
     g = _load(args.path)
-    report = analysis.analyze(
-        g, max_h=args.max_h, window=args.window, max_k=args.k, budget=budget
-    )
+    report = analysis.analyze(g, max_h=args.max_h, max_k=args.k, budget=budget)
     _emit(report.to_dict(), report.to_text(), args.format)
     return 1 if report.failed else 0
 
@@ -119,7 +117,7 @@ def _cmd_poset(args, budget: SearchBudget) -> int:
         shellable_text = f"skipped ({exc})"
     relations = asl.straightening_relations(cover_poset)
     doc = {
-        "elements": [cover_poset.label_of(c) for c in cover_poset.elements],
+        "elements": list(cover_poset.labels),
         "hasse": cover_poset.hasse_lines(),
         "pure": pure,
         "rank": poset.rank(cover_poset),
@@ -152,8 +150,17 @@ def _cmd_fixtures(args, budget: SearchBudget) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: it raises :class:`MalformedInput`
+    (exit 1, JSON on stderr) instead of printing usage and exiting 2, the
+    exit code of an exhausted budget.  Subcommand parsers share the class."""
+
+    def error(self, message: str):
+        raise MalformedInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="basiccovers",
         description="Exact combinatorics of basic vertex covers.",
     )
@@ -175,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("path")
     analyze.add_argument("--k", type=int, default=3, help="max cover level for checks")
     analyze.add_argument("--max-h", type=int, default=8, dest="max_h")
-    analyze.add_argument("--window", type=int, default=3)
     analyze.set_defaults(func=_cmd_analyze)
 
     covers_cmd = sub.add_parser("covers", help="list basic k-covers")
@@ -202,9 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         budget = (
             SearchBudget.scaled(args.budget)
             if args.budget is not None

@@ -348,6 +348,10 @@ def low_half_vertices(cover: Cover) -> dict[int, int]:
 
 # --- Krull dimension from the Hilbert data -----------------------------------
 
+# A fitted degree needs its finite differences constant and nonzero over
+# this many of the last values.
+WINDOW = 3
+
 
 @dataclass(frozen=True)
 class HilbertData:
@@ -375,19 +379,18 @@ def finite_differences(seq: tuple[int, ...]) -> tuple[int, ...]:
 def krull_dimension_estimate(
     g: Graph,
     max_h: int = 8,
-    window: int = 3,
     budget: SearchBudget | None = None,
 ) -> HilbertData:
     """Fit the eventual polynomial degree of the basic 2h-cover counts.
 
     Computes counts for h = 0..max_h and reports the least d whose d-th
-    finite differences are constant and nonzero over the last ``window``
-    values.  The counts are only eventually polynomial, which is why the
-    check looks at the tail; with no stabilising level the result is marked
-    unstable rather than guessed.
+    finite differences are constant and nonzero over the last
+    :data:`WINDOW` values.  The counts are only eventually polynomial,
+    which is why the check looks at the tail; with no stabilising level the
+    result is marked unstable rather than guessed.
     """
-    if window < 1 or max_h < window + 2:
-        raise MalformedInput("need max_h >= window + 2 and window >= 1")
+    if max_h < WINDOW + 2:
+        raise MalformedInput(f"need max_h >= {WINDOW + 2}")
     if not is_connected(g):
         raise NotConnected("dimension estimation requires a connected graph")
     counts = [1]
@@ -396,8 +399,8 @@ def krull_dimension_estimate(
     seq = tuple(counts)
     diffs = seq
     for degree in range(0, max_h):
-        tail = diffs[-window:]
-        if len(diffs) >= window and len(set(tail)) == 1 and tail[0] != 0:
+        tail = diffs[-WINDOW:]
+        if len(diffs) >= WINDOW and len(set(tail)) == 1 and tail[0] != 0:
             return HilbertData(seq, degree, True)
         diffs = finite_differences(diffs)
     return HilbertData(seq, 0, False)

@@ -1,7 +1,10 @@
 """The poset of basic 1-covers of a bipartite graph.
 
-Covers are compared componentwise on the smaller bipartition side A; the
-poset is always bounded (all-zero and all-one A-patterns are basic).  On
+Each element is a 0/1 vector, held as one int mask of its vertices with
+value 1 (:attr:`CoverPoset.masks`).  Covers are compared componentwise on
+the smaller bipartition side A, so x <= y exactly when the A-side ones of
+x lie inside those of y; the poset is always bounded (all-zero and all-one
+A-patterns are basic).  The ``Cover`` values stay at the API boundary.  On
 top of the raw order this module provides the crossed min/max values of
 two covers (which may fail to be basic), lattice and distributivity tests,
 the join-irreducible poset of a distributive lattice, order complexes,
@@ -38,31 +41,43 @@ class CoverPoset:
     side_b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        patterns = self._patterns
-        if len(set(patterns)) != len(patterns):
-            # A basic 1-cover is determined by its A-side values, so a
-            # repeat means the construction is broken.
+        # A basic 1-cover is determined by its A-side ones, so two equal
+        # down-sets mean a repeated A-side pattern: the construction is
+        # broken.
+        if len(set(self.down_sets)) != len(self.elements):
             raise MalformedInput("duplicate A-side patterns in poset elements")
         if self.bottom is None or self.top is None:
             raise MalformedInput("cover poset must be bounded")
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Each element as the mask of its vertices with value 1 (bit v is
+        vertex v).  The order, the labels and the ASL checks all read it."""
+        masks = []
+        for c in self.elements:
+            if not set(c.values) <= {0, 1}:
+                raise MalformedInput(f"{c!r} is not a 0/1 cover")
+            masks.append(sum(1 << v for v, x in enumerate(c.values, start=1) if x))
+        return tuple(masks)
 
     def pattern_of(self, cover: Cover) -> tuple[int, ...]:
         return tuple(cover.values[a - 1] for a in self.side_a)
 
     @cached_property
-    def _patterns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.pattern_of(c) for c in self.elements)
-
-    @cached_property
     def labels(self) -> tuple[str, ...]:
         """The A-side pattern of each element as a digit string."""
-        return tuple(_label(p) for p in self._patterns)
+        return tuple(
+            "".join("1" if m >> a & 1 else "0" for a in self.side_a)
+            for m in self.masks
+        )
 
     def label_of(self, cover: Cover) -> str:
         """The A-side pattern of ``cover`` as a digit string; read from
         :attr:`labels` when the cover is an element."""
         i = self._index.get(cover)
-        return self.labels[i] if i is not None else _label(self.pattern_of(cover))
+        if i is not None:
+            return self.labels[i]
+        return "".join(map(str, self.pattern_of(cover)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -77,26 +92,20 @@ class CoverPoset:
         except (KeyError, TypeError):
             raise MalformedInput(f"{cover!r} is not an element of the poset") from None
 
-    @cached_property
-    def _leq_matrix(self) -> tuple[tuple[bool, ...], ...]:
-        pats = self._patterns
-        return tuple(
-            tuple(all(p <= q for p, q in zip(pi, pj)) for pj in pats) for pi in pats
-        )
-
     def leq(self, x: Cover, y: Cover) -> bool:
-        return self._leq_matrix[self.index_of(x)][self.index_of(y)]
+        return self.leq_by_index(self.index_of(x), self.index_of(y))
 
     def leq_by_index(self, i: int, j: int) -> bool:
-        return self._leq_matrix[i][j]
+        return bool(self.down_sets[j] >> i & 1)
 
     @cached_property
     def down_sets(self) -> tuple[int, ...]:
-        """Bitmask of the elements at or below each element."""
-        leq = self._leq_matrix
-        n = len(self.elements)
+        """Bitmask of the elements at or below each element: those whose
+        A-side ones lie inside its own."""
+        side_a = sum(1 << a for a in self.side_a)
+        ones = [m & side_a for m in self.masks]
         return tuple(
-            sum(1 << i for i in range(n) if leq[i][j]) for j in range(n)
+            sum(1 << i for i, s in enumerate(ones) if not s & ~t) for t in ones
         )
 
     @cached_property
@@ -107,9 +116,10 @@ class CoverPoset:
     @cached_property
     def up_lists(self) -> tuple[tuple[int, ...], ...]:
         """Indices of the elements at or above each element, ascending."""
+        down = self.down_sets
         return tuple(
-            tuple(j for j, above in enumerate(row) if above)
-            for row in self._leq_matrix
+            tuple(j for j, d in enumerate(down) if d >> i & 1)
+            for i in range(len(down))
         )
 
     @cached_property
@@ -221,10 +231,6 @@ class CoverPoset:
     def hasse_lines(self) -> list[str]:
         labels = self.labels
         return sorted(f"{labels[i]} < {labels[j]}" for i, j in self.cover_relations)
-
-
-def _label(pattern: tuple[int, ...]) -> str:
-    return "".join(map(str, pattern))
 
 
 # The graph's instance dict holds a weak reference to its poset, so the

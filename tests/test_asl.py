@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from basiccovers.asl import (
     _is_basic_one_cover,
     _multichain_sums,
-    _support,
-    _tight_edges,
     _tight_ends,
     is_domain_report,
     straightening_relations,
@@ -211,10 +209,10 @@ def test_asl1_fails_when_the_cover_search_drops_a_cover(monkeypatch, fixtures):
 def test_asl1_raises_when_a_multichain_sum_is_not_basic(monkeypatch, fixtures):
     # Every d-element sum is checked; a failed basicness check is a broken
     # correspondence, not a False answer.
-    from basiccovers import covers
+    from basiccovers import asl
 
     p = build_poset(fixtures["E7"])
-    monkeypatch.setattr(covers, "_is_basic_values", lambda g, vals, k: False)
+    monkeypatch.setattr(asl, "_is_basic_one_cover", lambda nbr, ones: False)
     with pytest.raises(SumNotBasic):
         verify_asl1(p, 2)
 
@@ -231,14 +229,15 @@ def test_asl1_raises_when_a_mask_sum_is_not_basic(monkeypatch, fixtures):
 
 
 def test_asl1_rejects_negative_values():
-    poset = CoverPoset(K2, (Cover((-1, 1), 1), Cover((1, 0), 1)), (1,), (2,))
+    # The poset holds only 0/1 elements, so the constructor refuses it.
     with pytest.raises(MalformedInput):
+        poset = CoverPoset(K2, (Cover((-1, 1), 1), Cover((1, 0), 1)), (1,), (2,))
         verify_asl1(poset, 2)
 
 
 def test_straightening_rejects_values_above_one():
-    poset = CoverPoset(K2, (Cover((0, 1), 1), Cover((2, 0), 1)), (1,), (2,))
     with pytest.raises(MalformedInput):
+        poset = CoverPoset(K2, (Cover((0, 1), 1), Cover((2, 0), 1)), (1,), (2,))
         straightening_relations(poset)
 
 
@@ -284,8 +283,23 @@ def _scalar_multichains(poset, d):
     return chains
 
 
+def _tight_edges(g, vals):
+    """Bit e set for each edge ``g.edges[e]`` whose ends sum to 1."""
+    return sum(
+        1 << e
+        for e, (u, v) in enumerate(g.edges)
+        if vals[u - 1] + vals[v - 1] == 1
+    )
+
+
+def _support(vals):
+    """Bit v set for each vertex v with a positive value."""
+    return sum(1 << v for v, x in enumerate(vals, start=1) if x > 0)
+
+
 def _sum_masks(g, members):
-    """The AND of the tight-edge masks and the OR of the support masks."""
+    """The AND of the tight-edge masks and the OR of the support masks,
+    read off the values: the scalar side of the mask kernels."""
     tight, support = -1, 0
     for vals in members:
         tight &= _tight_edges(g, vals)

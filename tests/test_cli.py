@@ -245,6 +245,37 @@ def test_bad_budget_is_an_input_error(capsys, corpus_dir, monkeypatch, argv, env
     assert doc["exit_code"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--budget", "abc", "gdim", "c4.edges"],
+        ["analyze", "--k", "x", "c4.edges"],
+        ["analyze", "--window", "3", "c4.edges"],
+        ["bogus"],
+        [],
+    ],
+    ids=["budget-not-a-number", "k-not-a-number", "unknown-option", "unknown-command", "no-command"],
+)
+def test_usage_error_is_an_input_error(capsys, corpus_dir, argv):
+    # Exit 2 belongs to an exhausted budget; a usage error is bad input and
+    # prints one JSON line, not argparse's usage text.
+    argv = [str(corpus_dir / a) if a.endswith(".edges") else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "MalformedInput"
+    assert doc["exit_code"] == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: basiccovers" in capsys.readouterr().out
+
+
 def test_poset_command(capsys, corpus_dir):
     code, out, _ = run(capsys, ["poset", str(corpus_dir / "e7.edges")])
     assert code == 0

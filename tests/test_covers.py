@@ -304,7 +304,7 @@ def test_krull_estimate_requires_connectivity():
 
 def test_krull_estimate_parameter_validation():
     with pytest.raises(MalformedInput):
-        krull_dimension_estimate(K2, max_h=3, window=3)
+        krull_dimension_estimate(K2, max_h=3)
 
 
 def test_krull_estimate_matches_gdim_on_fixtures():

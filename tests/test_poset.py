@@ -131,8 +131,12 @@ def _oracle_verdicts(p):
 
 def _assert_matches_oracle(p):
     inf, sup, lattice, distributive = _oracle_verdicts(p)
+    assert p.labels == tuple(
+        "".join(str(x.values[a - 1]) for a in p.side_a) for x in p.elements
+    )
     for x in p.elements:
         for y in p.elements:
+            assert p.leq(x, y) == _oracle_below(p, x, y)
             assert infimum(p, x, y) == inf[(x, y)]
             assert supremum(p, x, y) == sup[(x, y)]
     assert is_lattice(p) == lattice
@@ -435,6 +439,23 @@ def test_long_chain_heights():
     with_point = BirkhoffPoset(names + ("z",), chain.relation)
     assert with_point.maximal_chain_lengths() == {0, 39}
     assert not is_pure_poset(with_point)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="is_pure_poset compares only the longest heights of maximal "
+    "elements, so chains of two lengths ending at one top pass as pure",
+)
+def test_pure_poset_sees_two_chain_lengths_under_one_top():
+    # The WSC graph of the poset a < b < c, d < c: its join-irreducibles
+    # are 1000 < 1100 < 1111 and 0001 < 1111, maximal chains of lengths 2
+    # and 1.
+    g = Graph.from_edges(
+        [(1, 5), (2, 6), (3, 7), (4, 8), (1, 6), (2, 7), (1, 7), (4, 7)]
+    )
+    bp = birkhoff_poset(build_poset(g))
+    assert bp.elements == ("0001", "1000", "1100", "1111")
+    assert not is_pure_poset(bp)
 
 
 # --- chains and multichains --------------------------------------------------------
