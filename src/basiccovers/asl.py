@@ -164,12 +164,12 @@ def verify_asl1(
     """Is the multichain-to-cover map a bijection onto the basic d-covers?
 
     Both sides are produced independently: multichains by direct
-    enumeration over the poset, covers by a fresh exact cover search.  The
-    multichains grow one element at a time along the up-lists, each
-    carrying its value sum; every d-element sum must be a basic d-cover
-    (a non-basic sum contradicts the correspondence and raises
-    :class:`SumNotBasic` as a bug), and distinct multichains must have
-    distinct sums.
+    enumeration over the poset, covers by a fresh exact cover search,
+    which the poset's closure build never runs.  The multichains grow one
+    element at a time along the up-lists, each carrying its value sum;
+    every d-element sum must be a basic d-cover (a non-basic sum
+    contradicts the correspondence and raises :class:`SumNotBasic` as a
+    bug), and distinct multichains must have distinct sums.
 
     Basicness of the sums is decided on the element masks.  Every element
     is first checked to be a basic 1-cover; the poset holds only 0/1

@@ -4,9 +4,7 @@ certificates used throughout the package, strong connectivity and
 shellability.
 
 Shellability is decided exactly by a subset dynamic program over facet
-sets (a prefix's usability does not depend on its internal order), and any
-order found is re-verified against the shelling definition before the
-answer is returned.
+sets (a prefix's usability does not depend on its internal order).
 """
 
 from __future__ import annotations
@@ -132,20 +130,11 @@ def _can_append(facets: tuple[frozenset, ...], used: tuple[int, ...], j: int) ->
     return True
 
 
-def _is_shelling_order(facets: tuple[frozenset, ...], order: list[int]) -> bool:
-    return all(
-        _can_append(facets, tuple(order[:pos]), j)
-        for pos, j in enumerate(order)
-        if pos > 0
-    )
-
-
 def is_shellable(c: SimplicialComplex, budget: SearchBudget | None = None) -> bool:
     """Exhaustive shellability decision for pure complexes.
 
     A set of already-shelled facets determines which facets may come next,
-    so the search memoises dead facet sets; a successful order is verified
-    facet by facet before True is returned.
+    so the search memoises dead facet sets.
     """
     if not c.is_pure:
         raise NotPure("shellability is decided for pure complexes only")
@@ -156,30 +145,22 @@ def is_shellable(c: SimplicialComplex, budget: SearchBudget | None = None) -> bo
     if count == 1:
         return True
     dead: set[frozenset[int]] = set()
-    for first in range(count):
-        order = _shelling_search(facets, dead, (first,))
-        if order is not None:
-            if not _is_shelling_order(facets, order):  # pragma: no cover
-                raise AssertionError("search produced an invalid shelling order")
-            return True
-    return False
+    return any(_shelling_search(facets, dead, (first,)) for first in range(count))
 
 
-def _shelling_search(facets, dead, used: tuple[int, ...]) -> list[int] | None:
-    """Complete the shelling prefix ``used`` to a full order of ``facets``,
-    or return None.  ``dead`` collects the prefix sets (as frozensets of
-    facet indices) known to admit no completion."""
+def _shelling_search(facets, dead, used: tuple[int, ...]) -> bool:
+    """Can the shelling prefix ``used`` be completed to a full order of
+    ``facets``?  ``dead`` collects the prefix sets (as frozensets of facet
+    indices) known to admit no completion."""
     if len(used) == len(facets):
-        return list(used)
+        return True
     key = frozenset(used)
     if key in dead:
-        return None
+        return False
     for j in range(len(facets)):
         if j in used:
             continue
-        if _can_append(facets, used, j):
-            result = _shelling_search(facets, dead, used + (j,))
-            if result is not None:
-                return result
+        if _can_append(facets, used, j) and _shelling_search(facets, dead, used + (j,)):
+            return True
     dead.add(key)
-    return None
+    return False

@@ -1,27 +1,32 @@
 """The poset of basic 1-covers of a bipartite graph.
 
 Each element is a 0/1 vector, held as one int mask of its vertices with
-value 1 (:attr:`CoverPoset.masks`).  Covers are compared componentwise on
-the smaller bipartition side A, so x <= y exactly when the A-side ones of
-x lie inside those of y; the poset is always bounded (all-zero and all-one
-A-patterns are basic).  The ``Cover`` values stay at the API boundary.  On
-top of the raw order this module provides the crossed min/max values of
-two covers (which may fail to be basic), lattice and distributivity tests,
-the join-irreducible poset of a distributive lattice, order complexes,
-multichain counting, and the combined purity/shellability report that
-decides Cohen-Macaulayness combinatorially.
+value 1 (:attr:`CoverPoset.masks`).  A basic 1-cover is fixed by its zeros
+T on the smaller bipartition side A, its ones on B being the neighbours
+N(T), and the sets T that occur are the closed sets of a closure system
+on A; :func:`build_poset` lists them without searching for covers.
+Covers are compared componentwise on A, so x <= y exactly when the A-side
+ones of x lie inside those of y; the poset is always bounded (all-zero and
+all-one A-patterns are basic).  ``Cover`` values are built only at the API
+boundary.  On top of the raw order this module provides the crossed
+min/max values of two covers (which may fail to be basic), lattice and
+distributivity tests, the join-irreducible poset of a distributive
+lattice, order complexes, multichain counting, and the combined
+purity/shellability report that decides Cohen-Macaulayness
+combinatorially.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 from .budget import SearchBudget, default_budget
 from .complexes import SimplicialComplex, is_shellable, is_strongly_connected
-from .covers import Cover, enumerate_basic_covers
+from .covers import Cover
 from .errors import (
     EquivalenceViolation,
     MalformedInput,
@@ -36,7 +41,9 @@ class CoverPoset:
     """Basic 1-covers of a bipartite graph under the A-side componentwise order."""
 
     graph: Graph
-    elements: tuple[Cover, ...]
+    # Each element as the mask of its vertices with value 1 (bit v is
+    # vertex v).  The order, the labels and the ASL checks all read it.
+    masks: tuple[int, ...]
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
 
@@ -44,21 +51,18 @@ class CoverPoset:
         # A basic 1-cover is determined by its A-side ones, so two equal
         # down-sets mean a repeated A-side pattern: the construction is
         # broken.
-        if len(set(self.down_sets)) != len(self.elements):
+        if len(set(self.down_sets)) != len(self.masks):
             raise MalformedInput("duplicate A-side patterns in poset elements")
-        if self.bottom is None or self.top is None:
+        # Bounded: some element lies below (above) every element.
+        everything = (1 << len(self.masks)) - 1
+        if everything not in self._by_up_set or everything not in self._by_down_set:
             raise MalformedInput("cover poset must be bounded")
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Each element as the mask of its vertices with value 1 (bit v is
-        vertex v).  The order, the labels and the ASL checks all read it."""
-        masks = []
-        for c in self.elements:
-            if not set(c.values) <= {0, 1}:
-                raise MalformedInput(f"{c!r} is not a 0/1 cover")
-            masks.append(sum(1 << v for v, x in enumerate(c.values, start=1) if x))
-        return tuple(masks)
+    def elements(self) -> tuple[Cover, ...]:
+        """The elements as ``Cover`` values, in mask order."""
+        vertices = range(1, self.graph.vertex_count + 1)
+        return tuple(Cover(tuple(m >> v & 1 for v in vertices), 1) for m in self.masks)
 
     def pattern_of(self, cover: Cover) -> tuple[int, ...]:
         return tuple(cover.values[a - 1] for a in self.side_a)
@@ -80,7 +84,7 @@ class CoverPoset:
         return "".join(map(str, self.pattern_of(cover)))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.masks)
 
     @cached_property
     def _index(self) -> dict[Cover, int]:
@@ -148,24 +152,12 @@ class CoverPoset:
     ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
         """Meet and join index tables, or None when some pair lacks an
         infimum or a supremum.  Built from the order alone."""
-        n = range(len(self.elements))
+        n = range(len(self.masks))
         meet = tuple(tuple(self.meet_index(i, j) for j in n) for i in n)
         join = tuple(tuple(self.join_index(i, j) for j in n) for i in n)
         if any(None in row for row in meet + join):
             return None
         return meet, join
-
-    @cached_property
-    def bottom(self) -> Cover | None:
-        everything = (1 << len(self.elements)) - 1
-        idx = self._by_up_set.get(everything)
-        return None if idx is None else self.elements[idx]
-
-    @cached_property
-    def top(self) -> Cover | None:
-        everything = (1 << len(self.elements)) - 1
-        idx = self._by_down_set.get(everything)
-        return None if idx is None else self.elements[idx]
 
     @cached_property
     def cover_relations(self) -> tuple[tuple[int, int], ...]:
@@ -174,7 +166,7 @@ class CoverPoset:
         up, down = self.up_sets, self.down_sets
         return tuple(
             (i, j)
-            for i in range(len(self.elements))
+            for i in range(len(self.masks))
             for j in self.up_lists[i]
             if j != i and up[i] & down[j] == (1 << i) | (1 << j)
         )
@@ -183,7 +175,7 @@ class CoverPoset:
     def height_range(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Shortest and longest Hasse-path height of each element above the
         minimal elements."""
-        n = len(self.elements)
+        n = len(self.masks)
         lower: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.cover_relations:
             lower[j].append(i)
@@ -204,7 +196,7 @@ class CoverPoset:
     def _index_chains(self) -> list[tuple[int, ...]]:
         """Maximal chains as index tuples, from each minimal element up the
         Hasse diagram, lowest index first at every step."""
-        n = len(self.elements)
+        n = len(self.masks)
         # cover_relations lists (i, j) by ascending i, then ascending j.
         ups: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.cover_relations:
@@ -241,30 +233,45 @@ _POSET_MEMO = "_cover_poset"
 
 def build_poset(g: Graph, budget: SearchBudget | None = None) -> CoverPoset:
     """The poset of basic 1-covers ordered on the smaller bipartition side
-    A (|A| <= |B|).
+    A (|A| <= |B|), its elements sorted by A-side pattern.
 
     The poset is memoised per graph instance for as long as a caller holds
     it, so the reports that take a graph reuse the poset the caller built.
-    A memo hit still checks the graph against ``budget``, exactly as
-    building it would.
+    A memo hit checks the graph against ``budget`` exactly as a build does.
     """
+    side_a, side_b = require_bipartite(g)
+    (budget or default_budget()).check_graph(
+        g.vertex_count, g.edge_count, "build_poset"
+    )
     ref = g.__dict__.get(_POSET_MEMO)
     poset = ref() if ref is not None else None
-    if poset is not None:
-        (budget or default_budget()).check_graph(
-            g.vertex_count, g.edge_count, "enumerate_basic_covers"
-        )
-        return poset
-    side_a, side_b = require_bipartite(g)
-    elements = enumerate_basic_covers(g, 1, budget)
-    a = tuple(sorted(side_a))
-    b = tuple(sorted(side_b))
-    elements = tuple(
-        sorted(elements, key=lambda c: tuple(c.values[v - 1] for v in a))
-    )
-    poset = CoverPoset(g, elements, a, b)
-    g.__dict__[_POSET_MEMO] = weakref.ref(poset)
+    if poset is None:
+        a, b = tuple(sorted(side_a)), tuple(sorted(side_b))
+        masks = sorted(_closure_masks(g, a, b), key=lambda m: [m >> v & 1 for v in a])
+        poset = CoverPoset(g, tuple(masks), a, b)
+        g.__dict__[_POSET_MEMO] = weakref.ref(poset)
     return poset
+
+
+def _closure_masks(g: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The mask of every basic 1-cover, one per closed set of A-zeros.
+
+    A basic 1-cover with zeros T on A has ones N(T) on B, and T occurs
+    exactly when it is closed: every vertex of A whose neighbours all lie
+    in N(T) belongs to T.  The closed sets are the intersections of the
+    sets A \\ N(b) over the subsets of B, the empty one giving A itself
+    (Ganter and Wille, *Formal Concept Analysis*, 1999).
+    """
+    nbr = g.neighbour_masks
+    side_a = sum(1 << v for v in a)
+    closed = {side_a}
+    for v in b:
+        outside = side_a & ~nbr[v]
+        closed |= {t & outside for t in closed}
+    return [
+        side_a & ~t | reduce(or_, (nbr[v] for v in a if t >> v & 1), 0)
+        for t in closed
+    ]
 
 
 # --- crossed min/max values ----------------------------------------------------
@@ -328,7 +335,7 @@ def is_distributive(poset: CoverPoset) -> bool:
     if not is_lattice(poset):
         raise NotALattice("distributivity is defined for lattices")
     meet, join = poset.lattice_tables
-    n = len(poset.elements)
+    n = len(poset)
     for a in range(n):
         join_a = join[a]
         for b in range(n):
@@ -344,7 +351,7 @@ def is_distributive(poset: CoverPoset) -> bool:
 def is_locally_upper_semimodular(poset: CoverPoset) -> bool:
     """Whenever two elements cover u and lie below a common v, some t <= v
     covers both of them."""
-    n = len(poset.elements)
+    n = len(poset)
     up = poset.up_sets
     covers_of: list[set[int]] = [set() for _ in range(n)]
     for i, j in poset.cover_relations:
@@ -402,7 +409,7 @@ def birkhoff_poset(poset: CoverPoset) -> BirkhoffPoset:
     distributive cover poset, under the induced order."""
     if not is_distributive(poset):
         raise NotDistributive("the Birkhoff decomposition needs a distributive lattice")
-    lower_covers: dict[int, list[int]] = {i: [] for i in range(len(poset.elements))}
+    lower_covers: dict[int, list[int]] = {i: [] for i in range(len(poset))}
     for i, j in poset.cover_relations:
         lower_covers[j].append(i)
     irreducible = [j for j, lows in lower_covers.items() if len(lows) == 1]

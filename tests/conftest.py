@@ -92,6 +92,17 @@ def random_bipartite_graph(rng: random.Random, n: int) -> Graph:
             raise AssertionError("unreachable")
 
 
+def relabelled_bipartite_graph(rng: random.Random, n: int) -> Graph:
+    """:func:`random_bipartite_graph` under a random permutation of the
+    labels, so side A is not always the labels 1..a."""
+    g = random_bipartite_graph(rng, n)
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return Graph.from_edges(
+        [(label[u - 1], label[v - 1]) for u, v in g.edges], vertex_count=n
+    )
+
+
 def whiskered(core: Graph, doubled: tuple[int, ...] = ()) -> Graph:
     """Attach one pendant leaf to every core vertex (two to ``doubled``).
 
@@ -229,6 +240,27 @@ def brute_force_least_free_parameter_sequence(
 def brute_force_gdim(g: Graph) -> int:
     """Longest free parameter sequence plus one, from the scan above."""
     return len(brute_force_least_free_parameter_sequence(g)[0]) + 1
+
+
+def brute_force_shellable(facets) -> bool:
+    """Does some order of the facets of a pure complex shell it?  Tries
+    every order (at most 6 facets) against the definition: each facet
+    meets the union of the earlier ones in a pure complex one dimension
+    lower, whose facets are the maximal intersections with earlier facets.
+    """
+    facets = [frozenset(f) for f in facets]
+    assert len(facets) <= 6, "the order scan is for tiny complexes"
+
+    def glued_in_codimension_one(earlier, f) -> bool:
+        walls = {e & f for e in earlier}
+        return all(
+            len(w) == len(f) - 1 for w in walls if not any(w < x for x in walls)
+        )
+
+    return any(
+        all(glued_in_codimension_one(order[:j], order[j]) for j in range(1, len(order)))
+        for order in permutations(facets)
+    )
 
 
 def maximal_chains(poset: CoverPoset) -> list[tuple]:

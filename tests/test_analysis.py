@@ -3,7 +3,7 @@ row still compares two independent sources.
 
 Calls are counted in every package namespace that holds a function, as the
 benchmark tracer counts them: ``projection`` imports ``graphical_dimension``
-by name and ``poset`` imports ``enumerate_basic_covers``, so patching only
+by name and ``asl`` imports ``enumerate_basic_covers``, so patching only
 the defining module would miss those calls.
 """
 
@@ -17,8 +17,10 @@ from dataclasses import replace
 import pytest
 
 import basiccovers
-from basiccovers import covers, gdim
+from basiccovers import covers, gdim, poset
 from basiccovers.analysis import FAIL, OK, analyze
+from basiccovers.asl import verify_asl1
+from basiccovers.errors import EquivalenceViolation
 from basiccovers.fixtures import fixture
 from basiccovers.graph import Graph
 
@@ -77,8 +79,8 @@ def test_analyze_computes_each_input_once(monkeypatch):
             # one from analyze, one inside regularity_report
             "graphical_dimension": 2,
             "gdim_bounds": 1,
-            # one per level 1..3, plus the one inside build_poset
-            "enumerate_basic_covers": 4,
+            # one per level 1..3; build_poset runs no cover search
+            "enumerate_basic_covers": 3,
             # k = 0..3 on g, k = 1..3 on the projection, k = 2, 4, ..., 16
             # inside krull_dimension_estimate
             "hilbert_function": 15,
@@ -129,3 +131,38 @@ def test_a_wrong_host_count_fails_every_row_that_reads_it(monkeypatch):
     assert rows["multichain-vs-cover-counts"] == FAIL
     assert rows["projection-preserves-cover-counts"] == FAIL
     assert rows["dimension-estimate-vs-search"] == OK
+
+
+def drop_from_the_closure_build(monkeypatch, label: str) -> None:
+    """Make ``build_poset`` lose the element with A-side pattern ``label``."""
+    original = poset._closure_masks
+
+    def lossy(g, a, b):
+        masks = original(g, a, b)
+        return [m for m in masks if "".join(str(m >> v & 1) for v in a) != label]
+
+    monkeypatch.setattr(poset, "_closure_masks", lossy)
+
+
+def test_a_lost_poset_element_fails_the_rows_that_read_the_poset(monkeypatch):
+    # The frontier DP and the cover DFS share no code with the closure
+    # build, so a poset short of one element, still bounded, is caught.
+    drop_from_the_closure_build(monkeypatch, "100")
+    g = fresh("E7")
+    rows = verdicts(analyze(g))
+    assert rows["multichain-vs-cover-counts"] == FAIL
+    p = poset.build_poset(g)
+    assert p.labels == ("000", "101", "110", "111")
+    assert not verify_asl1(p, 2)
+
+
+def test_a_lost_poset_element_can_break_the_domain_equivalence(monkeypatch):
+    # Without 101 the E7 poset is a chain, so no straightening relation is
+    # left to be zero, and the domain report refuses to answer.
+    drop_from_the_closure_build(monkeypatch, "101")
+    g = fresh("E7")
+    with pytest.raises(EquivalenceViolation):
+        analyze(g)
+    p = poset.build_poset(g)
+    assert p.labels == ("000", "100", "110", "111")
+    assert not verify_asl1(p, 2)

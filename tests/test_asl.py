@@ -228,29 +228,17 @@ def test_asl1_raises_when_a_mask_sum_is_not_basic(monkeypatch, fixtures):
         verify_asl1(p, 2)
 
 
-def test_asl1_rejects_negative_values():
-    # The poset holds only 0/1 elements, so the constructor refuses it.
-    with pytest.raises(MalformedInput):
-        poset = CoverPoset(K2, (Cover((-1, 1), 1), Cover((1, 0), 1)), (1,), (2,))
-        verify_asl1(poset, 2)
-
-
-def test_straightening_rejects_values_above_one():
-    with pytest.raises(MalformedInput):
-        poset = CoverPoset(K2, (Cover((0, 1), 1), Cover((2, 0), 1)), (1,), (2,))
-        straightening_relations(poset)
-
-
 def test_straightening_rejects_a_poset_missing_a_basic_cover():
     # Three disjoint edges give the Boolean cube on the A-patterns; without
     # 110, the join of 100 and 010 is a basic 1-cover outside the poset.
     g = Graph.from_edges([(1, 2), (3, 4), (5, 6)])
     patterns = [p for p in product((0, 1), repeat=3) if p != (1, 1, 0)]
-    elements = tuple(
-        Cover(tuple(x for a in p for x in (a, 1 - a)), 1) for p in patterns
+    # Each edge v-(v+1) puts its one on v when the pattern bit is 1.
+    masks = tuple(
+        sum(1 << (v if x else v + 1) for v, x in zip((1, 3, 5), p)) for p in patterns
     )
     with pytest.raises(MalformedInput):
-        straightening_relations(CoverPoset(g, elements, (1, 3, 5), (2, 4, 6)))
+        straightening_relations(CoverPoset(g, masks, (1, 3, 5), (2, 4, 6)))
 
 
 # --- the mask kernels against the scalar checks ---------------------------------------------

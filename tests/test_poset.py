@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from basiccovers.budget import SearchBudget
@@ -12,7 +12,7 @@ from basiccovers.complexes import (
     is_shellable,
     is_strongly_connected,
 )
-from basiccovers.covers import Cover, hilbert_function, is_basic
+from basiccovers.covers import Cover, enumerate_basic_covers, hilbert_function, is_basic
 from basiccovers.errors import (
     MalformedInput,
     NotALattice,
@@ -21,6 +21,7 @@ from basiccovers.errors import (
     NotPure,
     SearchBudgetExceeded,
 )
+from basiccovers.fixtures import fixture
 from basiccovers.gdim import graphical_dimension
 from basiccovers.graph import Graph, cycle_graph, is_connected, path_graph
 from basiccovers.poset import (
@@ -41,7 +42,14 @@ from basiccovers.poset import (
     rank,
 )
 
-from conftest import fixture_items, maximal_chains, random_bipartite_graph
+from conftest import (
+    brute_force_shellable,
+    fixture_items,
+    maximal_chains,
+    random_bipartite_graph,
+    random_connected_graph,
+    relabelled_bipartite_graph,
+)
 
 K2 = Graph.from_edges([(1, 2)])
 
@@ -175,7 +183,8 @@ def _bowtie_poset():
     that pair has no supremum."""
     p = build_poset(path_graph(9))
     keep = ("0000", "0001", "1000", "1011", "1101", "1111")
-    return CoverPoset(p.graph, tuple(element(p, s) for s in keep), p.side_a, p.side_b)
+    masks = tuple(p.masks[p.labels.index(s)] for s in keep)
+    return CoverPoset(p.graph, masks, p.side_a, p.side_b)
 
 
 def test_hand_built_non_lattice():
@@ -217,6 +226,27 @@ def test_build_poset_k2_is_chain():
 def test_build_poset_rejects_odd_cycle():
     with pytest.raises(NotBipartite):
         build_poset(cycle_graph(5))
+
+
+@st.composite
+def relabelled_bipartite_graphs(draw) -> Graph:
+    seed = draw(st.integers(min_value=0, max_value=100_000))
+    n = draw(st.integers(min_value=2, max_value=12))
+    return relabelled_bipartite_graph(random.Random(seed), n)
+
+
+@given(relabelled_bipartite_graphs())
+# Three disjoint edges, and a path plus an edge with equal sides.
+@example(Graph.from_edges([(1, 6), (2, 4), (3, 5)]))
+@example(Graph.from_edges([(2, 5), (1, 5), (1, 6), (3, 4)]))
+@settings(max_examples=100, deadline=None)
+def test_elements_are_the_cover_search_in_pattern_order(g):
+    # The closure build runs no cover search, so the DFS is its oracle.
+    p = build_poset(g)
+    assert list(p.elements) == sorted(enumerate_basic_covers(g, 1), key=p.pattern_of)
+    # The closed A-zero sets are closed under intersection, so every
+    # cover poset is a lattice; only hand-built posets can fail it.
+    assert is_lattice(p)
 
 
 def test_e7_poset_shape(fixtures):
@@ -277,7 +307,7 @@ def test_order_duality():
         except NotBipartite:
             continue
         # The same covers ordered on the larger side B.
-        p_large = CoverPoset(g, p_small.elements, p_small.side_b, p_small.side_a)
+        p_large = CoverPoset(g, p_small.masks, p_small.side_b, p_small.side_a)
         for x in p_small.elements:
             for y in p_small.elements:
                 assert p_small.leq(x, y) == p_large.leq(y, x)
@@ -556,6 +586,48 @@ def test_shellability(fixtures):
         is_shellable(SimplicialComplex.from_facets([{1, 2}, {3}]))
 
 
+@st.composite
+def pure_complexes(draw) -> SimplicialComplex:
+    size = draw(st.integers(min_value=1, max_value=3))
+    facet = st.frozensets(st.integers(min_value=1, max_value=6), min_size=size, max_size=size)
+    return SimplicialComplex.from_facets(draw(st.lists(facet, min_size=1, max_size=6)))
+
+
+@st.composite
+def graph_complexes(draw) -> SimplicialComplex:
+    """The order complex of a small cover poset or the independence
+    complex of a small connected graph."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    n = draw(st.integers(min_value=2, max_value=8))
+    if draw(st.booleans()):
+        return order_complex(build_poset(relabelled_bipartite_graph(rng, n)))
+    return independence_complex(random_connected_graph(rng, n))
+
+
+def _assert_shelling_matches_oracle(complex_):
+    if not complex_.is_pure:
+        with pytest.raises(NotPure):
+            is_shellable(complex_)
+    elif len(complex_.facets) <= 6:
+        assert is_shellable(complex_) == brute_force_shellable(complex_.facets)
+
+
+@given(pure_complexes())
+@settings(max_examples=200, deadline=None)
+def test_shellability_matches_the_order_scan(complex_):
+    _assert_shelling_matches_oracle(complex_)
+
+
+@given(graph_complexes())
+# Two non-shellable ones: two disjoint edges, and E8's two chains that
+# share only the bottom and the top.
+@example(independence_complex(cycle_graph(4)))
+@example(order_complex(build_poset(fixture("E8"))))
+@settings(max_examples=100, deadline=None)
+def test_shellability_matches_the_order_scan_on_graph_complexes(complex_):
+    _assert_shelling_matches_oracle(complex_)
+
+
 def test_shellability_budget():
     many = SimplicialComplex.from_facets(
         [{i, i + 1} for i in range(1, 15)]
@@ -628,7 +700,7 @@ def test_reports_reuse_the_held_poset(monkeypatch):
     def no_rebuild(*args):
         raise AssertionError("the poset was rebuilt")
 
-    monkeypatch.setattr(poset_module, "enumerate_basic_covers", no_rebuild)
+    monkeypatch.setattr(poset_module, "_closure_masks", no_rebuild)
     assert cohen_macaulay_report(g) == expected
     assert build_poset(g) is p
 
