@@ -114,7 +114,6 @@ def _read(value):
 
 def analyze(
     g: Graph,
-    max_h: int = 8,
     max_k: int = 3,
     budget: SearchBudget | None = None,
 ) -> AnalysisReport:
@@ -252,10 +251,11 @@ def analyze(
 
     if connected:
         def dim_check():
-            estimate = covers.krull_dimension_estimate(g, max_h, budget)
+            estimate = covers.krull_dimension_estimate(g, budget)
             value = _read(result).gdim
             if not estimate.stable:
-                return ("unstable", value, "counts did not stabilise")
+                detail = "counts fit no polynomial of degree <= the matching number"
+                return ("unstable", value, detail)
             return (estimate.dimension, value, "")
 
         _row(checks, "dimension-estimate-vs-search", dim_check)

@@ -40,7 +40,7 @@ def _emit(doc: dict, text: str, fmt: str) -> None:
 
 def _cmd_analyze(args, budget: SearchBudget) -> int:
     g = _load(args.path)
-    report = analysis.analyze(g, max_h=args.max_h, max_k=args.k, budget=budget)
+    report = analysis.analyze(g, max_k=args.k, budget=budget)
     _emit(report.to_dict(), report.to_text(), args.format)
     return 1 if report.failed else 0
 
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="full pipeline with cross-check table")
     analyze.add_argument("path")
     analyze.add_argument("--k", type=int, default=3, help="max cover level for checks")
-    analyze.add_argument("--max-h", type=int, default=8, dest="max_h")
     analyze.set_defaults(func=_cmd_analyze)
 
     covers_cmd = sub.add_parser("covers", help="list basic k-covers")

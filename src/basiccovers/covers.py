@@ -5,7 +5,7 @@ each edge sum to at least k; it is basic when no strictly smaller
 assignment is still a k-cover, equivalently when every vertex with a
 positive value lies on an edge summing to exactly k (a tight edge).  The
 number of basic k-covers is the Hilbert function of the graded algebra
-these covers span, and the growth rate of the basic 2h-cover counts
+these covers span, and the degree of the polynomial those counts follow
 recovers its Krull dimension.
 
 Enumeration and counting take separate routes, so each checks the other.
@@ -32,7 +32,7 @@ from .errors import (
     NotConnected,
     NotDominating,
 )
-from .graph import Graph, check_values, is_connected
+from .graph import Graph, bipartition, check_values, is_connected, matching_number
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -348,22 +348,22 @@ def low_half_vertices(cover: Cover) -> dict[int, int]:
 
 # --- Krull dimension from the Hilbert data -----------------------------------
 
-# A fitted degree needs its finite differences constant and nonzero over
-# this many of the last values.
-WINDOW = 3
-
 
 @dataclass(frozen=True)
 class HilbertData:
-    """Counts of basic 2h-covers with the fitted polynomial degree.
+    """Basic-cover counts at every ``step``-th level with their fitted
+    polynomial degree.
 
-    ``counts[h]`` is the number of basic 2h-covers (``counts[0]`` is 1 for
-    the unit).  When ``stable`` the counts eventually grow as a polynomial
-    of degree ``fitted_degree`` and the algebra dimension is that degree
-    plus one.
+    ``counts[h]`` is the number of basic (step * h)-covers, and ``counts[0]``
+    is 1 for the unit.  ``step`` is 1 on a bipartite graph, so the counts
+    are those of every level k = h, and 2 otherwise, so they are those of
+    the even levels k = 2h.  When ``stable`` the counts are the values of
+    one polynomial in h of degree ``fitted_degree`` and the algebra
+    dimension is that degree plus one.
     """
 
     counts: tuple[int, ...]
+    step: int
     fitted_degree: int
     stable: bool
 
@@ -377,30 +377,34 @@ def finite_differences(seq: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def krull_dimension_estimate(
-    g: Graph,
-    max_h: int = 8,
-    budget: SearchBudget | None = None,
+    g: Graph, budget: SearchBudget | None = None
 ) -> HilbertData:
-    """Fit the eventual polynomial degree of the basic 2h-cover counts.
+    """Fit the polynomial degree of the basic-cover counts exactly.
 
-    Computes counts for h = 0..max_h and reports the least d whose d-th
-    finite differences are constant and nonzero over the last
-    :data:`WINDOW` values.  The counts are only eventually polynomial,
-    which is why the check looks at the tail; with no stabilising level the
-    result is marked unstable rather than guessed.
+    Scaled by 1/k, the basic k-covers are the lattice points of the
+    bounded faces of Q = {y >= 0, y_u + y_v >= 1}.  Q's vertices are
+    half-integral (Nemhauser and Trotter, 1974), so by Ehrhart's theorem
+    applied face by face (Stanley, *Enumerative Combinatorics I*, 4.6) the
+    counts H(2h) are one polynomial in h from h = 0.  On a bipartite graph
+    Q is integral, and H(k) is one polynomial in k.  Its degree is the
+    dimension minus one, at most the matching number nu.  So the counts at
+    h = 0..nu + 2 fix it: the least d <= nu whose d-th finite differences
+    are equal and nonzero over all of them, which leaves at least two
+    points as a check.  With no such d the result is marked unstable
+    rather than guessed.
     """
-    if max_h < WINDOW + 2:
-        raise MalformedInput(f"need max_h >= {WINDOW + 2}")
     if not is_connected(g):
         raise NotConnected("dimension estimation requires a connected graph")
-    counts = [1]
-    for h in range(1, max_h + 1):
-        counts.append(hilbert_function(g, 2 * h, budget))
+    step = 1 if bipartition(g) is not None else 2
+    # The first count checks the budget, so a graph over it never reaches
+    # the matching search, which has no budget.
+    counts = [1, hilbert_function(g, step, budget)]
+    nu = matching_number(g)
+    counts += [hilbert_function(g, step * h, budget) for h in range(2, nu + 3)]
     seq = tuple(counts)
     diffs = seq
-    for degree in range(0, max_h):
-        tail = diffs[-WINDOW:]
-        if len(diffs) >= WINDOW and len(set(tail)) == 1 and tail[0] != 0:
-            return HilbertData(seq, degree, True)
+    for degree in range(nu + 1):
+        if len(set(diffs)) == 1 and diffs[0] != 0:
+            return HilbertData(seq, step, degree, True)
         diffs = finite_differences(diffs)
-    return HilbertData(seq, 0, False)
+    return HilbertData(seq, step, 0, False)

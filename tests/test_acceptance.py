@@ -99,7 +99,7 @@ def test_criterion_01_dimension_estimate_equals_search():
     with criterion(1, "basic 2h-cover growth recovers the dimension exactly"):
         graphs = [g for _, g in fixture_items()] + _random_connected_corpus(50)
         for g in graphs:
-            data = krull_dimension_estimate(g, max_h=8)
+            data = krull_dimension_estimate(g)
             assert data.stable, g.edges
             assert data.dimension == graphical_dimension(g).gdim, g.edges
 

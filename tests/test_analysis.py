@@ -81,15 +81,15 @@ def test_analyze_computes_each_input_once(monkeypatch):
             "gdim_bounds": 1,
             # one per level 1..3; build_poset runs no cover search
             "enumerate_basic_covers": 3,
-            # k = 0..3 on g, k = 1..3 on the projection, k = 2, 4, ..., 16
-            # inside krull_dimension_estimate
-            "hilbert_function": 15,
+            # k = 0..3 on g, k = 1..3 on the projection, k = 1..5 inside
+            # krull_dimension_estimate (E7 is bipartite with nu = 3)
+            "hilbert_function": 12,
             "is_domain_report": 1,
         }
     )
-    # Only (g, 2) repeats: the dimension estimate keeps its own counts.
+    # Only k = 1..3 on g repeat: the dimension estimate keeps its own counts.
     repeats = [key for key, n in keys.items() if key[0] == "hilbert_function" and n > 1]
-    assert repeats == [("hilbert_function", id(g), 2)]
+    assert repeats == [("hilbert_function", id(g), k) for k in (1, 2, 3)]
 
 
 def test_analyze_runs_the_cm_equivalence_report_once(monkeypatch):
@@ -130,7 +130,23 @@ def test_a_wrong_host_count_fails_every_row_that_reads_it(monkeypatch):
     rows = verdicts(analyze(g))
     assert rows["multichain-vs-cover-counts"] == FAIL
     assert rows["projection-preserves-cover-counts"] == FAIL
-    assert rows["dimension-estimate-vs-search"] == OK
+    # E7 is bipartite, so the dimension estimate samples k = 1 too.
+    assert rows["dimension-estimate-vs-search"] == FAIL
+
+
+def test_a_wrong_top_sampled_count_fails_the_dimension_row(monkeypatch):
+    # E7 is bipartite with nu = 3, so the estimate samples k = 0..5; the
+    # top level is read only as one of the check points past the degree.
+    g = fresh("E7")
+    original = covers.hilbert_function
+
+    def perturbed(graph, k, budget=None):
+        return original(graph, k, budget) + (graph is g and k == 5)
+
+    monkeypatch.setattr(covers, "hilbert_function", perturbed)
+    rows = verdicts(analyze(g))
+    assert rows["dimension-estimate-vs-search"] == FAIL
+    assert rows["multichain-vs-cover-counts"] == OK
 
 
 def drop_from_the_closure_build(monkeypatch, label: str) -> None:

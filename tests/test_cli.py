@@ -62,7 +62,7 @@ def test_analyze_e7_passes_cross_checks(capsys, corpus_dir):
 def test_analyze_structured(capsys, corpus_dir):
     code, out, _ = run(
         capsys,
-        ["--format", "structured", "analyze", str(corpus_dir / "c5.edges"), "--max-h", "6"],
+        ["--format", "structured", "analyze", str(corpus_dir / "c5.edges")],
     )
     assert code == 0
     doc = json.loads(out)
@@ -72,9 +72,18 @@ def test_analyze_structured(capsys, corpus_dir):
 
 
 def test_byte_identical_output(capsys, corpus_dir):
-    _, first, _ = run(capsys, ["analyze", str(corpus_dir / "e8.edges"), "--max-h", "5"])
-    _, second, _ = run(capsys, ["analyze", str(corpus_dir / "e8.edges"), "--max-h", "5"])
+    _, first, _ = run(capsys, ["analyze", str(corpus_dir / "e8.edges")])
+    _, second, _ = run(capsys, ["analyze", str(corpus_dir / "e8.edges")])
     assert first == second
+
+
+def test_analyze_certifies_the_dimension_of_p14(capsys, tmp_path):
+    # gdim 8: the dimension estimate must certify a degree above 6.
+    path = tmp_path / "p14.edges"
+    path.write_text(graph_to_text(path_graph(14)))
+    code, out, _ = run(capsys, ["analyze", str(path)])
+    assert code == 0
+    assert "dimension-estimate-vs-search: 8 = 8 OK" in out
 
 
 # sha256 of "exit <code>\n" + stdout + stderr for each fixture and command,
@@ -251,10 +260,20 @@ def test_bad_budget_is_an_input_error(capsys, corpus_dir, monkeypatch, argv, env
         ["--budget", "abc", "gdim", "c4.edges"],
         ["analyze", "--k", "x", "c4.edges"],
         ["analyze", "--window", "3", "c4.edges"],
+        # The dimension estimate's sample size follows from the matching
+        # number, so the flag that set it is gone.
+        ["analyze", "p6.edges", "--max-h", "8"],
         ["bogus"],
         [],
     ],
-    ids=["budget-not-a-number", "k-not-a-number", "unknown-option", "unknown-command", "no-command"],
+    ids=[
+        "budget-not-a-number",
+        "k-not-a-number",
+        "unknown-option",
+        "removed-max-h",
+        "unknown-command",
+        "no-command",
+    ],
 )
 def test_usage_error_is_an_input_error(capsys, corpus_dir, argv):
     # Exit 2 belongs to an exhausted budget; a usage error is bad input and

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basiccovers import covers
 from basiccovers.budget import SearchBudget
 from basiccovers.covers import (
     Cover,
@@ -27,11 +28,20 @@ from basiccovers.errors import (
     SearchBudgetExceeded,
 )
 from basiccovers.gdim import graphical_dimension
-from basiccovers.graph import Graph, complete_bipartite, cycle_graph, path_graph
+from basiccovers.graph import (
+    Graph,
+    bipartition,
+    complete_bipartite,
+    cycle_graph,
+    is_connected,
+    matching_number,
+    path_graph,
+)
 
 from conftest import (
     brute_force_basic_covers,
     fixture_items,
+    random_bipartite_graph,
     random_connected_graph,
 )
 
@@ -287,8 +297,9 @@ def test_low_half_round_trip_random(seed, n):
 
 
 def test_krull_estimate_k2():
+    # Bipartite, so every level is sampled; nu = 1, so h = 0..3.
     data = krull_dimension_estimate(K2)
-    assert data.counts == (1, 3, 5, 7, 9, 11, 13, 15, 17)
+    assert data.counts == (1, 2, 3, 4) and data.step == 1
     assert data.stable and data.fitted_degree == 1 and data.dimension == 2
 
 
@@ -302,16 +313,65 @@ def test_krull_estimate_requires_connectivity():
         krull_dimension_estimate(Graph.from_edges([(1, 2), (3, 4)]))
 
 
-def test_krull_estimate_parameter_validation():
-    with pytest.raises(MalformedInput):
-        krull_dimension_estimate(K2, max_h=3)
-
-
 def test_krull_estimate_matches_gdim_on_fixtures():
     for name, g in fixture_items():
         data = krull_dimension_estimate(g)
         assert data.stable, name
         assert data.dimension == graphical_dimension(g).gdim, name
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(14), Graph.from_edges(path_graph(14).edges + ((1, 3),))],
+    ids=["P14", "P14-plus-chord-1-3"],
+)
+def test_krull_estimate_certifies_a_degree_above_six(g):
+    # gdim is 8 on both: a fit over the last three of eight even levels
+    # could never certify degree 7, and read these as unstable.
+    data = krull_dimension_estimate(g)
+    assert data.stable and data.dimension == 8 == graphical_dimension(g).gdim
+
+
+def test_krull_estimate_checks_the_budget_before_the_matching_search(monkeypatch):
+    def unbudgeted(g):
+        raise AssertionError("matching search reached on a graph over the budget")
+
+    monkeypatch.setattr(covers, "matching_number", unbudgeted)
+    g = path_graph(21)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        krull_dimension_estimate(g)
+    assert str(exc.value) == (
+        "count_basic_covers: graph with n=21, m=20 exceeds budget (n <= 20, m <= 60)"
+    )
+
+
+def test_krull_estimate_polynomial_predicts_the_next_level():
+    # The degree-(gdim - 1) polynomial through the sample must give the
+    # count one level past it, at h = nu + 3: the next value is the sum of
+    # the last entries of the difference rows 0..degree.
+    rng = random.Random(61)
+    seen_steps = set()
+    for i in range(40):
+        n = rng.randint(2, 7)
+        if i % 2:
+            g = random_bipartite_graph(rng, n)
+            if not is_connected(g):
+                continue
+        else:
+            g = random_connected_graph(rng, n)
+        data = krull_dimension_estimate(g)
+        degree = graphical_dimension(g).gdim - 1
+        assert data.step == (1 if bipartition(g) is not None else 2), g.edges
+        assert data.stable and data.fitted_degree == degree, g.edges
+        rows = [data.counts]
+        for _ in range(degree):
+            rows.append(finite_differences(rows[-1]))
+        predicted = sum(row[-1] for row in rows)
+        h = len(data.counts)
+        assert h == matching_number(g) + 3, g.edges
+        assert predicted == count_basic_covers(g, data.step * h), g.edges
+        seen_steps.add(data.step)
+    assert seen_steps == {1, 2}
 
 
 def test_finite_differences():
