@@ -5,8 +5,8 @@ the min/max crossed covers (when both stay basic) or to zero; together
 with the multichain-to-cover correspondence this pins the whole
 multiplicative structure combinatorially.  The standard-monomial side is
 checked through two finite consequences: the rewriting rules are quadratic
-by construction, and d-multichains biject with basic d-covers, so the two
-counts must agree at every degree.
+by construction, and d-multichains biject with basic d-covers, so their
+number must equal the frontier count of the covers at every degree.
 
 Both checks run on the poset's element masks (:attr:`CoverPoset.masks`,
 bit v set when vertex v has value 1).  The crossed covers of a pair are
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .budget import SearchBudget
-from .covers import Cover, enumerate_basic_covers
+from .covers import Cover, count_basic_covers
 from .errors import (
     DimensionMismatch,
     EquivalenceViolation,
@@ -163,13 +163,14 @@ def verify_asl1(
 ) -> bool:
     """Is the multichain-to-cover map a bijection onto the basic d-covers?
 
-    Both sides are produced independently: multichains by direct
-    enumeration over the poset, covers by a fresh exact cover search,
-    which the poset's closure build never runs.  The multichains grow one
-    element at a time along the up-lists, each carrying its value sum;
-    every d-element sum must be a basic d-cover (a non-basic sum
-    contradicts the correspondence and raises :class:`SumNotBasic` as a
-    bug), and distinct multichains must have distinct sums.
+    The multichains grow one element at a time along the up-lists, each
+    carrying its value sum; every d-element sum must be a basic d-cover
+    (a non-basic sum contradicts the correspondence and raises
+    :class:`SumNotBasic` as a bug), and distinct multichains must have
+    distinct sums.  The sums are then a set of basic d-covers, so they are
+    all of them iff their number equals :func:`count_basic_covers`.  That
+    frontier count is the independent side: it shares no code with the
+    poset or this module, and it lists no cover.
 
     Basicness of the sums is decided on the element masks.  Every element
     is first checked to be a basic 1-cover; the poset holds only 0/1
@@ -200,9 +201,7 @@ def verify_asl1(
             raise SumNotBasic("a multichain summed to a non-basic cover")
         images.add(total)
         count += 1
-    if len(images) != count:
-        return False
-    return images == {c.values for c in enumerate_basic_covers(g, d, budget)}
+    return len(images) == count == count_basic_covers(g, d, budget)
 
 
 def _multichain_sums(

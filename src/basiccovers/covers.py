@@ -8,7 +8,8 @@ number of basic k-covers is the Hilbert function of the graded algebra
 these covers span, and the degree of the polynomial those counts follow
 recovers its Krull dimension.
 
-Enumeration and counting take separate routes, so each checks the other.
+Enumeration and counting take separate routes, so tests check each against
+the other; the count is also the independent side of the ASL1 check.
 The enumerator is a depth-first search over vertex values with three exact
 prunes (edge feasibility, the value ceiling k, and achievable tightness),
 run on a static schedule: the vertex order is fixed, so each position's

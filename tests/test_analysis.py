@@ -3,7 +3,7 @@ row still compares two independent sources.
 
 Calls are counted in every package namespace that holds a function, as the
 benchmark tracer counts them: ``projection`` imports ``graphical_dimension``
-by name and ``asl`` imports ``enumerate_basic_covers``, so patching only
+by name and ``cli`` imports ``enumerate_basic_covers``, so patching only
 the defining module would miss those calls.
 """
 

@@ -14,7 +14,12 @@ from basiccovers.asl import (
     verify_asl1,
     verify_sum_identity,
 )
-from basiccovers.covers import Cover, _is_basic_k_cover, is_basic
+from basiccovers.covers import (
+    Cover,
+    _is_basic_k_cover,
+    enumerate_basic_covers,
+    is_basic,
+)
 from basiccovers.errors import (
     MalformedInput,
     NotACover,
@@ -192,18 +197,52 @@ def test_asl1_random_bipartite():
             assert verify_asl1(p, d)
 
 
-def test_asl1_fails_when_the_cover_search_drops_a_cover(monkeypatch, fixtures):
-    # The cover search is the independent side of verify_asl1: if it loses
-    # one cover, the multichain images no longer match it.
+def test_asl1_fails_when_the_cover_count_is_off(monkeypatch, fixtures):
+    # The frontier count is the independent side of verify_asl1: one cover
+    # too few or too many, and the multichain sums no longer match it.
     from basiccovers import asl
 
     p = build_poset(fixtures["E7"])
-    enumerate_all = asl.enumerate_basic_covers
+    count_all = asl.count_basic_covers
     assert verify_asl1(p, 2)
-    monkeypatch.setattr(
-        asl, "enumerate_basic_covers", lambda *args: enumerate_all(*args)[1:]
-    )
+    for off in (-1, 1):
+        monkeypatch.setattr(
+            asl, "count_basic_covers", lambda *args, _off=off: count_all(*args) + _off
+        )
+        assert not verify_asl1(p, 2), off
+
+
+def test_asl1_fails_when_a_multichain_sum_repeats(monkeypatch, fixtures):
+    # Two multichains with one sum break injectivity, even though every sum
+    # is a basic cover and the number of multichains is right.
+    from basiccovers import asl
+
+    p = build_poset(fixtures["E7"])
+    sums = asl._multichain_sums
+    assert verify_asl1(p, 2)
+
+    def first_twice(poset, d):
+        triples = sums(poset, d)
+        first = next(triples)
+        next(triples)  # the second sum gives way to a repeat of the first
+        yield first
+        yield first
+        yield from triples
+
+    monkeypatch.setattr(asl, "_multichain_sums", first_twice)
     assert not verify_asl1(p, 2)
+
+
+def test_asl1_runs_no_cover_search(monkeypatch):
+    from basiccovers import covers
+
+    def no_search(g, k):
+        raise AssertionError("verify_asl1 ran the cover search")
+
+    monkeypatch.setattr(covers, "_basic_cover_search", no_search)
+    for name, g, p in bipartite_fixture_posets():
+        for d in (1, 2, 3):
+            assert verify_asl1(p, d), (name, d)
 
 
 def test_asl1_raises_when_a_multichain_sum_is_not_basic(monkeypatch, fixtures):
@@ -314,6 +353,10 @@ def test_mask_sum_test_matches_scalar_basicness(g):
             assert _mask_verdict(g, members) == _is_basic_k_cover(g, total, d)
             expected.append((total, *_sum_masks(g, members)))
         assert sorted(_multichain_sums(p, d)) == sorted(expected)
+        # The DFS oracle: the sums are exactly the basic d-covers.
+        assert {total for total, _, _ in _multichain_sums(p, d)} == {
+            c.values for c in enumerate_basic_covers(g, d)
+        }
     # Sums of incomparable pairs need not be basic: both verdicts occur.
     for i, x in enumerate(values):
         for y in values[i:]:
