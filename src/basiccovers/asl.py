@@ -247,17 +247,19 @@ class DomainReport:
     """The domain criterion for the cover algebra of a bipartite graph.
 
     ``wsc`` and ``all_straightenings_nonzero`` are equivalent and their
-    common value is the verdict.  ``lattice`` records bare order-theoretic
-    latticehood of the cover poset, which is weaker: when it disagrees
-    with the straightening test the divergence is flagged for study, not
-    asserted away.
+    common value is the verdict; the verdict is None when the two sides
+    disagree (the ``wsc-vs-nonzero-straightenings`` row of the analysis
+    then fails).  ``lattice`` records bare order-theoretic latticehood of
+    the cover poset, which is weaker: when it disagrees with the
+    straightening test the divergence is flagged for study, not asserted
+    away.
     """
 
     wsc: bool
     lattice: bool
     all_straightenings_nonzero: bool
     lattice_divergence: bool
-    verdict: bool
+    verdict: bool | None
 
 
 def is_domain_report(g: Graph, budget: SearchBudget | None = None) -> DomainReport:
@@ -265,14 +267,10 @@ def is_domain_report(g: Graph, budget: SearchBudget | None = None) -> DomainRepo
     wsc = satisfies_wsc(g)
     nonzero = all(not rel.is_zero for rel in straightening_relations(poset))
     lattice = is_lattice(poset)
-    if wsc != nonzero:
-        raise EquivalenceViolation(
-            f"WSC ({wsc}) and nonzero straightenings ({nonzero}) must agree"
-        )
     return DomainReport(
         wsc=wsc,
         lattice=lattice,
         all_straightenings_nonzero=nonzero,
         lattice_divergence=lattice != nonzero,
-        verdict=wsc,
+        verdict=wsc if wsc == nonzero else None,
     )

@@ -4,7 +4,8 @@ Every subset-search operation takes an optional :class:`SearchBudget` and
 raises :class:`~basiccovers.errors.SearchBudgetExceeded` when the instance
 is too large, never degrading to a heuristic answer.  The default vertex
 limit can be overridden through the ``BASICCOVERS_BUDGET`` environment
-variable (edge limit scales as three times the vertex limit).
+variable or the CLI's ``--budget``; the edge limit is always three times
+the vertex limit.
 """
 
 from __future__ import annotations
@@ -17,26 +18,27 @@ from .errors import MalformedInput, SearchBudgetExceeded
 ENV_VAR = "BASICCOVERS_BUDGET"
 
 DEFAULT_MAX_VERTICES = 20
-DEFAULT_MAX_EDGES = 60
 # Exhaustive shelling-order search is exponential in the facet count; 12
 # facets keeps the subset DP at 4096 states.
-DEFAULT_MAX_FACETS = 12
+MAX_FACETS = 12
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_vertices: int = DEFAULT_MAX_VERTICES
-    max_edges: int = DEFAULT_MAX_EDGES
-    max_facets: int = DEFAULT_MAX_FACETS
+    """The vertex limit of the exact graph searches.  The edge limit is
+    three times it; the facet limit of the shelling search is fixed."""
 
-    @classmethod
-    def scaled(cls, max_vertices: int) -> "SearchBudget":
-        """Budget with the given vertex limit and proportional edge limit."""
-        if max_vertices < 1:
+    max_vertices: int = DEFAULT_MAX_VERTICES
+
+    def __post_init__(self) -> None:
+        if self.max_vertices < 1:
             raise MalformedInput(
-                f"budget must be a positive vertex limit, got {max_vertices}"
+                f"budget must be a positive vertex limit, got {self.max_vertices}"
             )
-        return cls(max_vertices=max_vertices, max_edges=3 * max_vertices)
+
+    @property
+    def max_edges(self) -> int:
+        return 3 * self.max_vertices
 
     def check_graph(self, n: int, m: int, operation: str) -> None:
         if n > self.max_vertices or m > self.max_edges:
@@ -46,10 +48,9 @@ class SearchBudget:
             )
 
     def check_facets(self, count: int, operation: str) -> None:
-        if count > self.max_facets:
+        if count > MAX_FACETS:
             raise SearchBudgetExceeded(
-                f"{operation}: {count} facets exceeds budget "
-                f"(<= {self.max_facets})"
+                f"{operation}: {count} facets exceeds budget (<= {MAX_FACETS})"
             )
 
 
@@ -64,4 +65,4 @@ def default_budget() -> SearchBudget:
         raise MalformedInput(
             f"invalid {ENV_VAR} value {raw!r}: expected a positive integer"
         ) from None
-    return SearchBudget.scaled(limit)
+    return SearchBudget(limit)

@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         budget = (
-            SearchBudget.scaled(args.budget)
+            SearchBudget(args.budget)
             if args.budget is not None
             else default_budget()
         )

@@ -14,7 +14,7 @@ from itertools import groupby
 
 from .budget import SearchBudget, default_budget
 from .errors import MalformedInput, NotPure
-from .graph import Graph
+from .graph import Graph, _bits, _vertex_mask
 
 
 @dataclass(frozen=True)
@@ -76,24 +76,27 @@ def independence_complex(g: Graph, budget: SearchBudget | None = None) -> Simpli
     maximal independent sets)."""
     budget = budget or default_budget()
     budget.check_graph(g.vertex_count, g.edge_count, "independence_complex")
-    facets: list[frozenset[int]] = []
+    nbr = g.neighbour_masks
+    facets: list[int] = []
 
-    def extend(candidates: list[int], chosen: frozenset[int], excluded: set[int]) -> None:
+    def extend(candidates: int, chosen: int, excluded: int) -> None:
+        """Branch on the lowest candidate; all three arguments are vertex
+        masks."""
         if not candidates:
-            # Maximal iff no excluded vertex could still be added.
-            if all(g.neighbors(v) & chosen for v in excluded):
+            # Maximal iff every excluded vertex has a neighbour chosen.
+            if all(nbr[v] & chosen for v in _bits(excluded)):
                 facets.append(chosen)
             return
-        v = candidates[0]
-        rest = candidates[1:]
-        extend([w for w in rest if w not in g.neighbors(v)], chosen | {v}, excluded)
-        extend(rest, chosen, excluded | {v})
+        low = candidates & -candidates
+        rest = candidates ^ low
+        extend(rest & ~nbr[low.bit_length() - 1], chosen | low, excluded)
+        extend(rest, chosen, excluded | low)
 
-    extend(list(g.vertices), frozenset(), set())
+    extend(_vertex_mask(g.vertices), 0, 0)
     # extend refers to itself through its closure; clearing the name frees
     # the search on return rather than at the next cyclic collection.
     del extend
-    return SimplicialComplex.from_facets(facets)
+    return SimplicialComplex.from_facets(frozenset(_bits(f)) for f in facets)
 
 
 def _facet_adjacent(f: frozenset, h: frozenset) -> bool:

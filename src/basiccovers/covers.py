@@ -33,7 +33,16 @@ from .errors import (
     NotConnected,
     NotDominating,
 )
-from .graph import Graph, bipartition, check_values, is_connected, matching_number
+from .graph import (
+    Graph,
+    _bits,
+    _is_int,
+    _vertex_mask,
+    bipartition,
+    check_values,
+    is_connected,
+    matching_number,
+)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -75,9 +84,15 @@ def _is_basic_k_cover(g: Graph, vals: tuple[int, ...], k: int) -> bool:
 
 
 def _is_basic_values(g: Graph, vals: tuple[int, ...], k: int) -> bool:
-    get = vals.__getitem__
-    for x, nbrs in zip(vals, g.index_adjacency):
-        if x and k - x not in map(get, nbrs):
+    # at[x] is the mask of the vertices of value x, for x <= k; a vertex of
+    # value x is tight when a neighbour lies in at[k - x].
+    at: dict[int, int] = {}
+    for v, x in enumerate(vals, 1):
+        if x <= k:
+            at[x] = at.get(x, 0) | 1 << v
+    nbr = g.neighbour_masks
+    for v, x in enumerate(vals, 1):
+        if x and (x > k or not nbr[v] & at.get(k - x, 0)):
             return False
     return True
 
@@ -87,26 +102,21 @@ def _is_basic_values(g: Graph, vals: tuple[int, ...], k: int) -> bool:
 
 def _search_order(g: Graph) -> list[int]:
     """Vertex order for the DFS: start at a maximum-degree vertex, then always
-    take the unassigned vertex with the most assigned neighbours (ties by
+    take the unplaced vertex with the most placed neighbours (ties by
     degree, then label).  Keeps every new vertex edge-constrained as soon
     as its component has been entered."""
-    n = g.vertex_count
+    nbr = g.neighbour_masks
     order: list[int] = []
-    placed = [False] * (n + 1)
-    assigned_nbrs = [0] * (n + 1)
-    for _ in range(n):
-        best = None
-        best_key = None
-        for v in range(1, n + 1):
-            if placed[v]:
-                continue
-            key = (assigned_nbrs[v], g.degree(v), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+    placed = 0
+    unplaced = _vertex_mask(g.vertices)
+    while unplaced:
+        best = max(
+            _bits(unplaced),
+            key=lambda v: ((nbr[v] & placed).bit_count(), nbr[v].bit_count(), -v),
+        )
         order.append(best)
-        placed[best] = True
-        for w in g.neighbors(best):
-            assigned_nbrs[w] += 1
+        placed |= 1 << best
+        unplaced ^= 1 << best
     return order
 
 
@@ -120,30 +130,31 @@ def _basic_cover_search(g: Graph, k: int) -> list[tuple[int, ...]]:
     are listed once per position rather than tracked per node.
     """
     n = g.vertex_count
-    adjacency = g.index_adjacency
-    # Vertices by 0-based index, in search order.
-    order = [v - 1 for v in _search_order(g)]
-    position = [0] * n
-    for i, v in enumerate(order):
-        position[v] = i
-    last = [max(map(position.__getitem__, nbrs), default=-1) for nbrs in adjacency]
+    nbr = g.neighbour_masks
     # The order is fixed, so each position knows in advance its vertex,
     # which of its neighbours are already placed, whether one comes later,
     # and which earlier neighbours it closes (places their last
-    # neighbour), each with its other neighbours.
-    schedule = [
-        (
-            v,
-            [w for w in adjacency[v] if position[w] < i],
-            last[v] > i,
-            [
-                (w, [h for h in adjacency[w] if h != v])
-                for w in adjacency[v]
-                if last[w] == i > position[w]
-            ],
+    # neighbour), each with its other neighbours.  Values are indexed by
+    # vertex - 1.
+    schedule = []
+    placed = 0
+    for v in _search_order(g):
+        bit = 1 << v
+        later = ~(placed | bit)
+        earlier = list(_bits(nbr[v] & placed))
+        schedule.append(
+            (
+                v - 1,
+                [w - 1 for w in earlier],
+                bool(nbr[v] & later),
+                [
+                    (w - 1, [h - 1 for h in _bits(nbr[w] ^ bit)])
+                    for w in earlier
+                    if not nbr[w] & later
+                ],
+            )
         )
-        for i, v in enumerate(order)
-    ]
+        placed |= bit
     values = [0] * n
     get = values.__getitem__
     found: list[tuple[int, ...]] = []
@@ -210,30 +221,27 @@ def _frontier_steps(g: Graph):
     because v was their last unplaced neighbour, and whether v joins the
     frontier.
     """
-    adjacency = g.adjacency
-    placed = [False] * (g.vertex_count + 1)
-    unplaced_nbrs = [0] + [g.degree(v) for v in g.vertices]
+    nbr = g.neighbour_masks
+    placed = 0
 
     def growth(u: int) -> tuple[int, int, int, int]:
-        nbrs = adjacency[u - 1]
-        placed_nbrs = sum(placed[w] for w in nbrs)
+        placed_nbrs = nbr[u] & placed
         # Placed neighbours whose last unplaced neighbour is u leave.
-        closed = sum(1 for w in nbrs if placed[w] and unplaced_nbrs[w] == 1)
-        opens = placed_nbrs < len(nbrs)
-        return (opens - closed, -placed_nbrs, len(nbrs), u)
+        closed = sum(1 for w in _bits(placed_nbrs) if nbr[w] & ~placed == 1 << u)
+        opens = placed_nbrs != nbr[u]
+        return (opens - closed, -placed_nbrs.bit_count(), nbr[u].bit_count(), u)
 
     frontier: list[int] = []
     steps = []
-    for _ in g.vertices:
-        v = min((u for u in g.vertices if not placed[u]), key=growth)
-        nbrs = adjacency[v - 1]
-        nbr_pos = [i for i, u in enumerate(frontier) if u in nbrs]
-        placed[v] = True
-        for u in nbrs:
-            unplaced_nbrs[u] -= 1
-        keep = [i for i, u in enumerate(frontier) if unplaced_nbrs[u]]
-        leave = [i for i, u in enumerate(frontier) if not unplaced_nbrs[u]]
-        stays = unplaced_nbrs[v] > 0
+    unplaced = _vertex_mask(g.vertices)
+    while unplaced:
+        v = min(_bits(unplaced), key=growth)
+        nbr_pos = [i for i, u in enumerate(frontier) if nbr[v] >> u & 1]
+        placed |= 1 << v
+        unplaced ^= 1 << v
+        keep = [i for i, u in enumerate(frontier) if nbr[u] & unplaced]
+        leave = [i for i, u in enumerate(frontier) if not nbr[u] & unplaced]
+        stays = bool(nbr[v] & unplaced)
         frontier = [frontier[i] for i in keep] + ([v] if stays else [])
         steps.append((nbr_pos, keep, leave, stays))
     return steps
@@ -315,22 +323,22 @@ def reconstruct_from_low_half(g: Graph, k: int, partial: dict[int, int]) -> Cove
     if k < 1:
         raise MalformedInput(f"cover level must be >= 1, got {k}")
     domain = set(partial)
-    if not domain or not domain <= set(g.vertices):
+    if not domain or not all(_is_int(v) for v in domain) or not domain <= set(g.vertices):
         raise MalformedInput("partial assignment must live on vertices of g")
     for v, x in partial.items():
         if x < 0 or 2 * x > k:
             raise MalformedInput(
                 f"value {x} at vertex {v} is not in the low half [0, {k}/2]"
             )
+    nbr = g.neighbour_masks
+    assigned = _vertex_mask(domain)
     for w in g.vertices:
-        if w not in domain and not (g.neighbors(w) & domain):
+        if w not in domain and not nbr[w] & assigned:
             raise NotDominating(f"vertex {w} has no neighbour in the assigned set")
-    values = []
-    for w in g.vertices:
-        if w in domain:
-            values.append(partial[w])
-        else:
-            values.append(max(k - partial[v] for v in g.neighbors(w) if v in domain))
+    values = [
+        partial[w] if w in domain else max(k - partial[v] for v in _bits(nbr[w] & assigned))
+        for w in g.vertices
+    ]
     cover = Cover(tuple(values), k)
     if not is_k_cover(g, cover.values, k) or not _is_basic_values(g, cover.values, k):
         raise CompletionNotBasic(

@@ -26,6 +26,7 @@ from .budget import SearchBudget, default_budget
 from .errors import MalformedInput, NotATree
 from .graph import (
     Graph,
+    _is_int,
     _matching_size,
     _vertex_mask,
     bipartition,
@@ -62,20 +63,18 @@ def is_free_parameter_set(g: Graph, cert: FreeParameterCertificate) -> bool:
     vertices = set(g.vertices)
     if not a or len(set(a)) != len(a) or len(set(b)) != len(b):
         return False
-    if not (set(a) <= vertices and set(b) <= vertices):
+    if not all(map(_is_int, (*a, *b))) or not (set(a) <= vertices and set(b) <= vertices):
         return False
     if set(a) & set(b):
         return False
-    for i, ai in enumerate(a):
-        for aj in a[i + 1 :]:
-            if g.has_edge(ai, aj):
-                return False
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        if not g.has_edge(ai, bi):
+    nbr = g.neighbour_masks
+    a_mask = _vertex_mask(a)
+    earlier_b = 0
+    for ai, bi in zip(a, b):
+        # a_i touches no a, meets its partner b_i, and touches no b_j, j < i.
+        if nbr[ai] & (a_mask | earlier_b) or not nbr[ai] >> bi & 1:
             return False
-        for j, bj in enumerate(b):
-            if g.has_edge(ai, bj) and i > j:
-                return False
+        earlier_b |= 1 << bi
     return True
 
 

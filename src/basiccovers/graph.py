@@ -8,10 +8,15 @@ function of an immutable :class:`Graph`.  The matching and domination
 searches are exact: branch-and-bound or subset search guarded by a
 :class:`~basiccovers.budget.SearchBudget`, never a heuristic.
 
-Every matching question goes through one pair of kernels over int
-neighbour masks (bit v stands for vertex v), each restricted to a vertex
-mask: ``_matching_size`` for the maximum matching and
-``_perfect_matchings`` for counting perfect matchings up to a limit.
+A graph has one adjacency, :attr:`Graph.neighbour_masks`: one int per
+vertex with bit w set for each neighbour w.  Every search in the package
+reads it, and vertex sets travel as masks of the same shape.  Components
+and the bipartition come from one breadth-first search over layers of
+such masks (``_two_colourings``).  Every matching question goes through
+one pair of kernels, each restricted to a vertex mask: ``_matching_size``
+for the maximum matching and ``_perfect_matchings`` for counting perfect
+matchings up to a limit.  ``enumerate_perfect_matchings`` lists the
+matchings themselves and is the tests' oracle for that counter.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ def _canonical_edge(u: int, v: int) -> Edge:
 class Graph:
     """A simple undirected graph on vertex set {1, ..., vertex_count}.
 
-    Edges are stored canonically (smaller label first, sorted tuple).
-    ``names`` optionally maps labels to display strings, e.g. after a
-    projection collapsed several original vertices into one.
+    Edges are stored canonically (smaller label first, sorted tuple), and
+    :attr:`neighbour_masks`, built from them on first use, is the only
+    adjacency.  ``names`` optionally maps labels to display strings, e.g.
+    after a projection collapsed several original vertices into one.
     """
 
     vertex_count: int
@@ -117,33 +123,11 @@ class Graph:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbour sets, indexed so that ``adjacency[v - 1]`` serves vertex v."""
-        nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            nbrs[u - 1].add(v)
-            nbrs[v - 1].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    @cached_property
-    def index_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """0-based neighbour indices, ascending: ``index_adjacency[v - 1]``
-        holds ``w - 1`` for each neighbour w of vertex v."""
-        return tuple(tuple(sorted(w - 1 for w in s)) for s in self.adjacency)
-
-    @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """``neighbour_masks[v]`` has bit w set for each neighbour w of v;
-        entry 0 is unused."""
-        nbr = [0] * (self.vertex_count + 1)
-        for u, v in self.edges:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        return tuple(nbr)
-
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
+        entry 0 is unused.  The graph's only adjacency: every search reads
+        it."""
+        return _neighbour_masks(self.vertex_count, self.edges)
 
     @property
     def vertices(self) -> range:
@@ -153,14 +137,16 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v - 1]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v - 1])
-
     def has_edge(self, u: int, v: int) -> bool:
-        return _canonical_edge(u, v) in self.edge_set
+        """Is {u, v} an edge?  False for any label that is not an int in
+        1..n."""
+        return (
+            _is_int(u)
+            and _is_int(v)
+            and 1 <= u <= self.vertex_count
+            and v >= 1
+            and bool(self.neighbour_masks[u] >> v & 1)
+        )
 
     def display(self, v: int) -> str:
         if self.names is not None:
@@ -273,71 +259,16 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges([(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
 
 
-# --- connectivity and bipartition ------------------------------------------
+# --- neighbour masks ---------------------------------------------------------
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    components: list[frozenset[int]] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        components.append(frozenset(comp))
-    return components
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
-
-
-def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """The two colour classes (A, B) with |A| <= |B|, or None if not bipartite.
-
-    Per connected component the class containing the component's smallest
-    vertex goes to A first; if the assembled A ends up larger the sides are
-    swapped, and on a tie A is the side containing vertex 1.  This makes
-    downstream poset constructions deterministic.
-    """
-    color: dict[int, int] = {}
-    for comp in connected_components(g):
-        start = min(comp)
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side_a = frozenset(v for v, c in color.items() if c == 0)
-    side_b = frozenset(v for v, c in color.items() if c == 1)
-    if len(side_a) > len(side_b):
-        side_a, side_b = side_b, side_a
-    elif len(side_a) == len(side_b) and 1 not in side_a:
-        side_a, side_b = side_b, side_a
-    return side_a, side_b
-
-
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
-
-
-def is_tree(g: Graph) -> bool:
-    return is_connected(g) and g.edge_count == g.vertex_count - 1
-
-
-# --- matchings --------------------------------------------------------------
+def _neighbour_masks(n: int, edges) -> tuple[int, ...]:
+    """Entry v has bit w set for each edge {v, w}; entry 0 is unused."""
+    nbr = [0] * (n + 1)
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return tuple(nbr)
 
 
 def _vertex_mask(vertices) -> int:
@@ -350,6 +281,76 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _two_colourings(nbr: tuple[int, ...], mask: int):
+    """Breadth-first search over the components of the vertices in
+    ``mask``, whose neighbours ``nbr`` must stay inside it, lowest vertex
+    first.  Yields, per component, the masks of its vertices at even and at
+    odd distance from its lowest vertex, and whether no edge joins two
+    vertices at one distance.  Edges join equal or consecutive distances,
+    so that holds exactly when the two masks are a proper 2-colouring."""
+    while mask:
+        layer = seen = mask & -mask
+        sides = [0, 0]
+        parity = 0
+        proper = True
+        while layer:
+            sides[parity] |= layer
+            reach = 0
+            for v in _bits(layer):
+                reach |= nbr[v]
+            proper = proper and not reach & layer
+            layer = reach & ~seen
+            seen |= layer
+            parity ^= 1
+        mask &= ~seen
+        yield sides[0], sides[1], proper
+
+
+# --- connectivity and bipartition ------------------------------------------
+
+
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """The vertex sets of the components, by ascending lowest vertex."""
+    return [
+        frozenset(_bits(even | odd))
+        for even, odd, _ in _two_colourings(g.neighbour_masks, _vertex_mask(g.vertices))
+    ]
+
+
+def is_connected(g: Graph) -> bool:
+    return len(connected_components(g)) == 1
+
+
+def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The two colour classes (A, B) with |A| <= |B|, or None if not bipartite.
+
+    Per connected component the class containing the component's smallest
+    vertex goes to A first; if the assembled A ends up larger the sides are
+    swapped.  Vertex 1 starts in A, so on a tie A is the side containing
+    vertex 1.  This makes downstream poset constructions deterministic.
+    """
+    side_a = side_b = 0
+    for even, odd, proper in _two_colourings(g.neighbour_masks, _vertex_mask(g.vertices)):
+        if not proper:
+            return None
+        side_a |= even
+        side_b |= odd
+    if side_a.bit_count() > side_b.bit_count():
+        side_a, side_b = side_b, side_a
+    return frozenset(_bits(side_a)), frozenset(_bits(side_b))
+
+
+def is_bipartite(g: Graph) -> bool:
+    return bipartition(g) is not None
+
+
+def is_tree(g: Graph) -> bool:
+    return is_connected(g) and g.edge_count == g.vertex_count - 1
+
+
+# --- matchings --------------------------------------------------------------
 
 
 def _matching_size(nbr: tuple[int, ...], mask: int, left: int | None) -> int:
@@ -440,25 +441,26 @@ def enumerate_perfect_matchings(
     if g.vertex_count % 2 == 1:
         return []
     found: list[tuple[Edge, ...]] = []
-    _extend_perfect(g, frozenset(g.vertices), [], found)
+    _extend_perfect(g.neighbour_masks, _vertex_mask(g.vertices), [], found)
     return sorted(found)
 
 
 def _extend_perfect(
-    g: Graph, uncovered: frozenset[int], chosen: list[Edge], found: list
+    nbr: tuple[int, ...], uncovered: int, chosen: list[Edge], found: list
 ) -> None:
-    """Append to ``found`` every perfect matching of the vertices in
-    ``uncovered`` that extends ``chosen``, matching the least uncovered
-    vertex first."""
+    """Append to ``found`` every perfect matching of the vertices in the
+    mask ``uncovered`` that extends ``chosen``, matching the least
+    uncovered vertex first."""
     if not uncovered:
         found.append(tuple(sorted(chosen)))
         return
-    v = min(uncovered)
-    for w in sorted(g.neighbors(v)):
-        if w in uncovered:
-            chosen.append(_canonical_edge(v, w))
-            _extend_perfect(g, uncovered - {v, w}, chosen, found)
-            chosen.pop()
+    low = uncovered & -uncovered
+    v = low.bit_length() - 1
+    rest = uncovered ^ low
+    for w in _bits(nbr[v] & rest):
+        chosen.append((v, w))
+        _extend_perfect(nbr, rest ^ 1 << w, chosen, found)
+        chosen.pop()
 
 
 # --- domination and induced matchings --------------------------------------
@@ -496,11 +498,12 @@ def induced_matching_number(g: Graph, budget: SearchBudget | None = None) -> int
     budget = budget or default_budget()
     budget.check_graph(g.vertex_count, g.edge_count, "induced_matching_number")
     edges = g.edges
+    nbr = g.neighbour_masks
     m = len(edges)
     conflict: list[set[int]] = [set() for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            if _edges_connected(g, edges[i], edges[j]):
+            if _edges_connected(nbr, edges[i], edges[j]):
                 conflict[i].add(j)
                 conflict[j].add(i)
 
@@ -523,11 +526,10 @@ def induced_matching_number(g: Graph, budget: SearchBudget | None = None) -> int
     return best
 
 
-def _edges_connected(g: Graph, e: Edge, f: Edge) -> bool:
-    """True if e and f share a vertex or some edge of g joins them."""
-    if set(e) & set(f):
-        return True
-    return any(g.has_edge(x, y) for x in e for y in f)
+def _edges_connected(nbr: tuple[int, ...], e: Edge, f: Edge) -> bool:
+    """True if e and f share a vertex or some edge joins them."""
+    (x, y), (u, v) = e, f
+    return bool((1 << x | 1 << y | nbr[x] | nbr[y]) & (1 << u | 1 << v))
 
 
 # --- misc helpers -----------------------------------------------------------

@@ -188,11 +188,6 @@ class CoverPoset:
                 longest[j] = 1 + max(longest[i] for i in lower[j])
         return tuple(shortest), tuple(longest)
 
-    @cached_property
-    def element_ranks(self) -> tuple[int, ...]:
-        """Longest-chain height of each element above the minimal elements."""
-        return self.height_range[1]
-
     def _index_chains(self) -> list[tuple[int, ...]]:
         """Maximal chains as index tuples, from each minimal element up the
         Hasse diagram, lowest index first at every step."""
@@ -302,8 +297,8 @@ def join_values(poset: CoverPoset, x: Cover, y: Cover) -> Cover:
 
 
 def rank(poset: CoverPoset) -> int:
-    """Length (in edges) of a longest chain."""
-    return max(poset.element_ranks)
+    """Length (in edges) of a longest chain: the greatest longest height."""
+    return max(poset.height_range[1])
 
 
 def is_pure(poset: CoverPoset) -> bool:
@@ -468,8 +463,6 @@ class CohenMacaulayReport:
     the remaining cases are reported as inconclusive.
     """
 
-    rank: int
-    side_a_size: int
     hypothesis_holds: bool
     pure: bool
     shellable: bool
@@ -483,8 +476,7 @@ def cohen_macaulay_report(
     poset = build_poset(g, budget)
     complex_ = order_complex(poset)
     pure = is_pure(poset)
-    poset_rank = rank(poset)
-    hypothesis = poset_rank == len(poset.side_a)
+    hypothesis = rank(poset) == len(poset.side_a)
     if pure:
         shellable = is_shellable(complex_, budget)
         connected = is_strongly_connected(complex_)
@@ -506,8 +498,6 @@ def cohen_macaulay_report(
     else:
         verdict = "inconclusive"
     return CohenMacaulayReport(
-        rank=poset_rank,
-        side_a_size=len(poset.side_a),
         hypothesis_holds=hypothesis,
         pure=pure,
         shellable=shellable,

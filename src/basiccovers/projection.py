@@ -19,7 +19,6 @@ from .budget import SearchBudget, default_budget
 from .complexes import independence_complex, is_shellable, is_strongly_connected
 from .covers import Cover
 from .errors import (
-    EquivalenceViolation,
     NotAnEdge,
     NotConstantOnBlock,
     NotWsc,
@@ -30,7 +29,10 @@ from .gdim import graphical_dimension
 from .graph import (
     Edge,
     Graph,
+    _bits,
+    _neighbour_masks,
     _perfect_matchings,
+    _two_colourings,
     _vertex_mask,
     induced_matching_number,
     is_bipartite,
@@ -39,98 +41,70 @@ from .graph import (
 
 def is_right_edge(g: Graph, e: Edge) -> bool:
     """True iff for all neighbours i' of i and j' of j the pair {i',j'} is an
-    edge (coincident neighbours i' = j' would force a loop, so they refute
-    rightness).  Choices i' = j or j' = i hold trivially and are skipped."""
+    edge: every neighbour of j other than i lies in N(i') for each
+    neighbour i' of i other than j.  A common neighbour i' = j' refutes
+    rightness, since i' is not its own neighbour."""
     i, j = e
     if not g.has_edge(i, j):
         raise NotAnEdge(f"{{{i},{j}}} is not an edge")
-    for ip in g.neighbors(i) - {j}:
-        for jp in g.neighbors(j) - {i}:
-            if ip == jp or not g.has_edge(ip, jp):
-                return False
-    return True
+    nbr = g.neighbour_masks
+    rj = nbr[j] ^ 1 << i
+    return all(not rj & ~nbr[ip] for ip in _bits(nbr[i] ^ 1 << j))
 
 
 def right_edges(g: Graph) -> tuple[Edge, ...]:
     return tuple(e for e in g.edges if is_right_edge(g, e))
 
 
+def _right_masks(g: Graph) -> tuple[int, ...]:
+    """The neighbour masks of the right-edge subgraph."""
+    return _neighbour_masks(g.vertex_count, right_edges(g))
+
+
 def satisfies_wsc(g: Graph) -> bool:
     """Weak square condition: every vertex lies on a right edge."""
-    covered: set[int] = set()
-    for e in right_edges(g):
-        covered.update(e)
-    return len(covered) == g.vertex_count
+    return all(_right_masks(g)[1:])
 
 
 @dataclass(frozen=True)
 class ZeroOneGraph:
-    """The right-edge subgraph with its validated block decomposition:
-    complete bipartite pieces (A_i, B_i) with |A_i| <= |B_i| and the
-    vertices on no right edge as singletons."""
+    """The block decomposition of the right-edge subgraph: complete
+    bipartite pieces (A_i, B_i) with |A_i| <= |B_i|, ordered by their
+    lowest vertex, and the vertices on no right edge as singletons."""
 
-    host: Graph
-    right: tuple[Edge, ...]
     pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
     singletons: tuple[int, ...]
 
 
 def zero_one_graph(g: Graph) -> ZeroOneGraph:
-    rights = right_edges(g)
-    right_adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in rights:
-        right_adj[u].add(v)
-        right_adj[v].add(u)
-    on_right = {v for v in g.vertices if right_adj[v]}
-    singletons = tuple(sorted(set(g.vertices) - on_right))
-
+    right = _right_masks(g)
+    on_right = _vertex_mask(v for v in g.vertices if right[v])
     pairs: list[tuple[frozenset[int], frozenset[int]]] = []
-    seen: set[int] = set()
-    for start in sorted(on_right):
-        if start in seen:
-            continue
-        # 2-colour the right-edge component and verify complete bipartiteness.
-        color = {start: 0}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in right_adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    raise StructureViolation(
-                        "right-edge component is not bipartite"
-                    )
-        side0 = frozenset(v for v, c in color.items() if c == 0)
-        side1 = frozenset(v for v, c in color.items() if c == 1)
-        for u in side0:
-            if right_adj[u] != set(side1):
-                raise StructureViolation(
-                    "right-edge component is not complete bipartite"
-                )
-        seen |= set(color)
-        if len(side0) > len(side1) or (
-            len(side0) == len(side1) and min(side1) < min(side0)
-        ):
+    # side0 holds each piece's lowest vertex, so on a tie A_i is that side.
+    for side0, side1, proper in _two_colourings(right, on_right):
+        if not proper:
+            raise StructureViolation("right-edge component is not bipartite")
+        if any(right[u] != side1 for u in _bits(side0)):
+            raise StructureViolation(
+                "right-edge component is not complete bipartite"
+            )
+        if side0.bit_count() > side1.bit_count():
             side0, side1 = side1, side0
-        pairs.append((side0, side1))
-    pairs.sort(key=lambda p: min(min(p[0]), min(p[1])))
-    return ZeroOneGraph(g, rights, tuple(pairs), singletons)
+        pairs.append((frozenset(_bits(side0)), frozenset(_bits(side1))))
+    singletons = tuple(v for v in g.vertices if not right[v])
+    return ZeroOneGraph(tuple(pairs), singletons)
 
 
 @dataclass(frozen=True)
 class ProjectionReport:
     """The projected graph with the block-to-vertex correspondence.
 
-    Blocks are numbered by the smallest original vertex they contain;
-    ``block_of[v - 1]`` is the projected label of the host vertex v.
+    Blocks are numbered by the smallest original vertex they contain.
     """
 
     host: Graph
     pi_graph: Graph
     blocks: tuple[frozenset[int], ...]
-    block_of: tuple[int, ...]
     is_fixed_point: bool
 
 
@@ -163,7 +137,7 @@ def project(g: Graph) -> ProjectionReport:
     )
     pi_graph = Graph.from_edges(pi_edges, vertex_count=len(blocks), names=names)
     fixed = all(len(members) == 1 for members in blocks) and pi_graph.edges == g.edges
-    return ProjectionReport(g, pi_graph, blocks, tuple(block_of), fixed)
+    return ProjectionReport(g, pi_graph, blocks, fixed)
 
 
 # --- cover transport -----------------------------------------------------------
@@ -200,7 +174,9 @@ class CmEquivalenceReport:
     """Verdicts for the equivalent characterisations of Cohen-Macaulayness of
     a WSC graph.  Each computed condition is True/False, or None when its
     search budget was exhausted; ``cohen_macaulay`` is never computed from
-    the ring, it repeats the common verdict the equivalence implies."""
+    the ring, it repeats the common verdict the equivalence implies, and
+    is None when no condition was computed or the computed ones disagree
+    (the ``cm-conditions-agree`` row of the analysis then fails)."""
 
     unique_perfect_matching: bool | None
     unique_right_edge_perfect_matching: bool | None
@@ -247,7 +223,7 @@ def cm_equivalence_report(
     )
     # Perfect matchings drawn from right edges only; under the WSC every
     # vertex lies on a right edge, so they span a valid graph.
-    right_nbr = Graph(g.vertex_count, right_edges(g)).neighbour_masks
+    right_nbr = _right_masks(g)
     unique_right_pm = guarded(
         "unique_right_edge_perfect_matching", lambda: has_unique_pm(right_nbr)
     )
@@ -278,11 +254,7 @@ def cm_equivalence_report(
         skip_reasons=tuple(skips),
     )
     verdicts = set(report.computed().values())
-    if len(verdicts) > 1:
-        raise EquivalenceViolation(
-            f"equivalent conditions disagree: {report.computed()}"
-        )
-    common = verdicts.pop() if verdicts else None
+    common = verdicts.pop() if len(verdicts) == 1 else None
     return replace(report, cohen_macaulay=common)
 
 

@@ -3,13 +3,16 @@
 The oracles deliberately avoid the production code paths they check:
 basic covers come from a full product scan with single-step descent,
 matchings from exhaustive enumeration, and free parameter sets from
-permutation search with their own validity check.
+permutation search with their own validity check.  The graph-structure
+oracles (adjacency, components, bipartiteness, right edges, maximal
+independent sets and basicness) read only ``g.edges``, never the
+neighbour masks the package searches run on.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -268,3 +271,78 @@ def maximal_chains(poset: CoverPoset) -> list[tuple]:
     complex is built from), as tuples of covers."""
     elements = poset.elements
     return [tuple(elements[i] for i in chain) for chain in poset._index_chains()]
+
+
+# --- graph-structure oracles on the edge list ------------------------------
+
+
+def adjacent_by_edges(g: Graph, u: int, v: int) -> bool:
+    """Is {u, v} one of ``g.edges``?"""
+    return (min(u, v), max(u, v)) in g.edges
+
+
+def components_by_edges(g: Graph) -> list[frozenset[int]]:
+    """Vertex sets of the components, by ascending lowest vertex: merge the
+    two parts of every edge until no edge joins two parts."""
+    parts = [{v} for v in g.vertices]
+    for u, v in g.edges:
+        pu = next(p for p in parts if u in p)
+        pv = next(p for p in parts if v in p)
+        if pu is not pv:
+            pu |= pv
+            parts.remove(pv)
+    return sorted((frozenset(p) for p in parts), key=min)
+
+
+def is_bipartite_by_edges(g: Graph) -> bool:
+    """Does some 0/1 colouring of the vertices give every edge two colours?"""
+    return any(
+        all(colour[u - 1] != colour[v - 1] for u, v in g.edges)
+        for colour in product((0, 1), repeat=g.vertex_count)
+    )
+
+
+def right_edges_by_edges(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Edges {i, j} such that every neighbour of i other than j and every
+    neighbour of j other than i are two distinct, adjacent vertices."""
+
+    def others(x: int, skip: int) -> list[int]:
+        return [w for e in g.edges if x in e for w in e if w not in (x, skip)]
+
+    return tuple(
+        (i, j)
+        for i, j in g.edges
+        if all(
+            ip != jp and adjacent_by_edges(g, ip, jp)
+            for ip in others(i, j)
+            for jp in others(j, i)
+        )
+    )
+
+
+def maximal_independent_sets_by_edges(g: Graph) -> set[frozenset[int]]:
+    """Every vertex subset with no edge inside to which no vertex can be
+    added, by a scan of all subsets."""
+
+    def independent(s) -> bool:
+        return not any(u in s and v in s for u, v in g.edges)
+
+    out = set()
+    for size in range(1, g.vertex_count + 1):
+        for subset in combinations(g.vertices, size):
+            s = set(subset)
+            if independent(s) and not any(
+                independent(s | {v}) for v in g.vertices if v not in s
+            ):
+                out.add(frozenset(s))
+    return out
+
+
+def basic_verdict_by_edges(g: Graph, vals: tuple[int, ...], k: int) -> bool | None:
+    """None when ``vals`` is no k-cover (all zero, or some edge sums below
+    k); otherwise whether every positive vertex lies on an edge summing to
+    exactly k."""
+    if not any(vals) or any(vals[u - 1] + vals[v - 1] < k for u, v in g.edges):
+        return None
+    tight = {w for u, v in g.edges if vals[u - 1] + vals[v - 1] == k for w in (u, v)}
+    return all(x == 0 or v in tight for v, x in enumerate(vals, start=1))

@@ -17,12 +17,11 @@ from dataclasses import replace
 import pytest
 
 import basiccovers
-from basiccovers import covers, gdim, poset
+from basiccovers import cli, covers, gdim, poset, projection
 from basiccovers.analysis import FAIL, OK, analyze
 from basiccovers.asl import verify_asl1
-from basiccovers.errors import EquivalenceViolation
 from basiccovers.fixtures import fixture
-from basiccovers.graph import Graph
+from basiccovers.graph import Graph, graph_to_text
 
 COUNTED = (
     "gdim.graphical_dimension",
@@ -172,13 +171,56 @@ def test_a_lost_poset_element_fails_the_rows_that_read_the_poset(monkeypatch):
     assert not verify_asl1(p, 2)
 
 
-def test_a_lost_poset_element_can_break_the_domain_equivalence(monkeypatch):
+def analyze_through_the_cli(g: Graph, capsys, tmp_path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``basiccovers analyze`` on g."""
+    path = tmp_path / "g.edges"
+    path.write_text(graph_to_text(g))
+    capsys.readouterr()
+    code = cli.main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_lost_poset_element_can_break_the_domain_equivalence(
+    monkeypatch, capsys, tmp_path
+):
     # Without 101 the E7 poset is a chain, so no straightening relation is
-    # left to be zero, and the domain report refuses to answer.
+    # left to be zero although E7 fails the WSC.  The domain row fails and
+    # the whole table is still printed.
+    claims = [row.claim for row in analyze(fresh("E7")).cross_checks]
     drop_from_the_closure_build(monkeypatch, "101")
     g = fresh("E7")
-    with pytest.raises(EquivalenceViolation):
-        analyze(g)
+    report = analyze(g)
+    assert [row.claim for row in report.cross_checks] == claims
+    assert verdicts(report)["wsc-vs-nonzero-straightenings"] == FAIL
+    assert report.sections["straightening"]["domain"] is None
+    code, out, err = analyze_through_the_cli(g, capsys, tmp_path)
+    assert (code, err) == (1, "")
+    assert out == report.to_text()
+    assert "  wsc-vs-nonzero-straightenings: False = True FAIL\n" in out
     p = poset.build_poset(g)
     assert p.labels == ("000", "100", "110", "111")
     assert not verify_asl1(p, 2)
+
+
+def test_a_flipped_cm_condition_fails_the_cm_row(monkeypatch, capsys, tmp_path):
+    # C4 satisfies the WSC and every condition reads False; claiming its
+    # independence complex is connected in codimension one breaks the
+    # agreement, and the report names no common verdict.
+    g = fresh("C4")
+    claims = [row.claim for row in analyze(g).cross_checks]
+    original = projection.is_strongly_connected
+    monkeypatch.setattr(
+        projection, "is_strongly_connected", lambda c: not original(c)
+    )
+    report = analyze(g)
+    assert [row.claim for row in report.cross_checks] == claims
+    rows = verdicts(report)
+    assert rows["cm-conditions-agree"] == FAIL
+    assert all(v == OK for claim, v in rows.items() if claim != "cm-conditions-agree")
+    assert report.sections["cm equivalence"]["connected_in_codimension_one"] is True
+    assert report.sections["cm equivalence"]["cohen_macaulay"] is None
+    code, out, err = analyze_through_the_cli(g, capsys, tmp_path)
+    assert (code, err) == (1, "")
+    assert out == report.to_text()
+    assert "  cm-conditions-agree: False = True FAIL" in out

@@ -16,7 +16,6 @@ from basiccovers.asl import (
 )
 from basiccovers.covers import (
     Cover,
-    _is_basic_k_cover,
     enumerate_basic_covers,
     is_basic,
 )
@@ -30,7 +29,7 @@ from basiccovers.errors import (
 from basiccovers.graph import Graph, complete_bipartite, cycle_graph, path_graph
 from basiccovers.poset import CoverPoset, build_poset, join_values, meet_values
 
-from conftest import fixture_items, random_bipartite_graph
+from conftest import basic_verdict_by_edges, fixture_items, random_bipartite_graph
 
 K2 = Graph.from_edges([(1, 2)])
 
@@ -350,7 +349,7 @@ def test_mask_sum_test_matches_scalar_basicness(g):
         for chain in _scalar_multichains(p, d):
             members = [values[i] for i in chain]
             total = tuple(map(sum, zip(*members)))
-            assert _mask_verdict(g, members) == _is_basic_k_cover(g, total, d)
+            assert _mask_verdict(g, members) == basic_verdict_by_edges(g, total, d)
             expected.append((total, *_sum_masks(g, members)))
         assert sorted(_multichain_sums(p, d)) == sorted(expected)
         # The DFS oracle: the sums are exactly the basic d-covers.
@@ -361,7 +360,7 @@ def test_mask_sum_test_matches_scalar_basicness(g):
     for i, x in enumerate(values):
         for y in values[i:]:
             total = tuple(map(sum, zip(x, y)))
-            assert _mask_verdict(g, (x, y)) == _is_basic_k_cover(g, total, 2)
+            assert _mask_verdict(g, (x, y)) == basic_verdict_by_edges(g, total, 2)
 
 
 @given(small_bipartite_graphs())
@@ -375,9 +374,11 @@ def test_bitmask_meet_join_matches_scalar_checks(g):
                 assert (x, y) not in relations
                 continue
             meet, join = meet_values(p, x, y), join_values(p, x, y)
-            nonzero = _is_basic_k_cover(g, meet.values, 1) and _is_basic_k_cover(
-                g, join.values, 1
-            )
+            # Meet and join are always 1-covers: the oracle's None is a failure.
+            meet_basic = basic_verdict_by_edges(g, meet.values, 1)
+            join_basic = basic_verdict_by_edges(g, join.values, 1)
+            assert meet_basic is not None and join_basic is not None
+            nonzero = meet_basic and join_basic
             assert relations.pop((x, y)) == ((meet, join) if nonzero else None)
     assert not relations
 
@@ -388,9 +389,8 @@ def test_one_cover_mask_test_matches_scalar_check(g):
     n = g.vertex_count
     for ones in range(0, 1 << n):
         vals = tuple(ones >> (v - 1) & 1 for v in g.vertices)
-        try:
-            expected = _is_basic_k_cover(g, vals, 1)
-        except NotACover:
+        expected = basic_verdict_by_edges(g, vals, 1)
+        if expected is None:
             with pytest.raises(NotACover):
                 _is_basic_one_cover(g.neighbour_masks, ones << 1)
         else:
@@ -440,7 +440,8 @@ def test_domain_equivalence_random():
     rng = random.Random(83)
     for _ in range(30):
         g = random_bipartite_graph(rng, rng.randint(2, 9))
-        report = is_domain_report(g)  # raises EquivalenceViolation on mismatch
+        report = is_domain_report(g)
+        assert report.wsc == report.all_straightenings_nonzero
         assert report.verdict == report.wsc
         # divergence is flagged, never asserted equal
         assert report.lattice_divergence == (

@@ -39,6 +39,7 @@ from basiccovers.graph import (
 )
 
 from conftest import (
+    basic_verdict_by_edges,
     brute_force_basic_covers,
     fixture_items,
     random_bipartite_graph,
@@ -68,6 +69,24 @@ def test_is_k_cover_rejects_non_integer_values(values):
         is_k_cover(path_graph(3), values, 1)
 
 
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_is_basic_matches_the_edge_list_oracle(seed, n, k):
+    # Values run to k + 1, past the largest a basic cover can hold.
+    g = random_connected_graph(random.Random(seed), n)
+    for vals in product(range(k + 2), repeat=n):
+        expected = basic_verdict_by_edges(g, vals, k)
+        if expected is None:
+            with pytest.raises(NotACover):
+                is_basic(g, Cover(vals, k))
+        else:
+            assert is_basic(g, Cover(vals, k)) == expected, vals
+
+
 def test_is_basic_examples(fixtures):
     assert is_basic(K2, Cover((1, 0), 1))
     assert not is_basic(K2, Cover((1, 1), 1))
@@ -79,6 +98,15 @@ def test_is_basic_examples(fixtures):
 def test_is_basic_rejects_non_cover():
     with pytest.raises(NotACover):
         is_basic(K2, Cover((0, 0), 1))
+
+
+def test_is_basic_cost_does_not_grow_with_the_level():
+    # The tightness test keys vertex masks by value, so a level of 10**10
+    # needs no table of k + 1 entries.
+    k = 10**10
+    assert is_basic(K2, Cover((k, 0), k))
+    assert is_basic(path_graph(3), Cover((k - 1, 1, k - 1), k))
+    assert not is_basic(K2, Cover((k, 1), k))
 
 
 def is_decomposable(g: Graph, cover: Cover, k: int) -> bool:
@@ -248,7 +276,7 @@ def test_enumerate_rejects_bad_level():
 
 def test_enumerate_budget():
     with pytest.raises(SearchBudgetExceeded):
-        enumerate_basic_covers(path_graph(25), 1, SearchBudget.scaled(10))
+        enumerate_basic_covers(path_graph(25), 1, SearchBudget(10))
 
 
 # --- low-half reconstruction ---------------------------------------------------
@@ -267,6 +295,13 @@ def test_reconstruct_requires_domination():
 def test_reconstruct_rejects_high_values():
     with pytest.raises(MalformedInput):
         reconstruct_from_low_half(K2, 2, {1: 2})
+
+
+@pytest.mark.parametrize("partial", [{1.0: 0}, {True: 0}, {1: 0, 2.0: 2}])
+def test_reconstruct_rejects_labels_that_are_not_ints(partial):
+    # 1.0 and True equal the label 1 but cannot index the neighbour masks.
+    with pytest.raises(MalformedInput):
+        reconstruct_from_low_half(K2, 2, partial)
 
 
 def test_reconstruct_detects_non_basic_completion():

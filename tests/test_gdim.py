@@ -49,6 +49,12 @@ def test_free_parameter_set_rejects_overlap_and_non_edges():
     assert not is_free_parameter_set(p6, FreeParameterCertificate((1, 3), (2, 4)))
 
 
+@pytest.mark.parametrize("a, b", [((1.0,), (2,)), ((1,), (2.0,)), ((True,), (2,))])
+def test_free_parameter_set_rejects_labels_that_are_not_ints(a, b):
+    # 1.0 and True equal the label 1 but are not vertices of the graph.
+    assert not is_free_parameter_set(K2, FreeParameterCertificate(a, b))
+
+
 def test_ordering_matters_for_the_same_pair_set():
     # one unordered pairing, valid only in the decreasing arrangement
     p6 = path_graph(6)
@@ -116,7 +122,7 @@ def test_c18_certificate():
 
 def test_gdim_budget():
     with pytest.raises(SearchBudgetExceeded):
-        graphical_dimension(path_graph(25), SearchBudget.scaled(10))
+        graphical_dimension(path_graph(25), SearchBudget(10))
 
 
 def test_bounds_sandwich_fixtures(fixtures):

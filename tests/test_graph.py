@@ -3,7 +3,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from basiccovers.errors import (
@@ -20,6 +20,7 @@ from basiccovers.graph import (
     bipartition,
     check_values,
     complete_bipartite,
+    connected_components,
     cycle_graph,
     enumerate_perfect_matchings,
     graph_to_text,
@@ -37,15 +38,20 @@ from basiccovers.complexes import independence_complex, is_shellable
 from basiccovers.covers import enumerate_basic_covers
 from basiccovers.gdim import graphical_dimension
 from basiccovers.poset import build_poset, order_complex
-from basiccovers.projection import cm_equivalence_report
+from basiccovers.projection import cm_equivalence_report, right_edges
 
 from conftest import (
+    adjacent_by_edges,
     brute_force_matching_number,
     brute_force_paired_domination,
+    components_by_edges,
     enumerate_matchings,
     fixture_items,
+    is_bipartite_by_edges,
+    maximal_independent_sets_by_edges,
     random_bipartite_graph,
     random_connected_graph,
+    right_edges_by_edges,
 )
 
 
@@ -200,7 +206,7 @@ def test_bipartition_smaller_side_first():
         a, b = sides
         assert len(a) <= len(b)
         assert a | b == set(g.vertices)
-        assert all(not g.has_edge(u, v) for u in a for v in a if u < v)
+        assert all(not adjacent_by_edges(g, u, v) for u in a for v in a if u < v)
 
 
 # --- connectivity -------------------------------------------------------------
@@ -283,7 +289,7 @@ def test_induced_matching_below_matching_number():
 
 def test_budget_rejects_large_instances():
     big = path_graph(30)
-    tight = SearchBudget.scaled(8)
+    tight = SearchBudget(8)
     with pytest.raises(SearchBudgetExceeded):
         paired_domination_number(big, tight)
     with pytest.raises(SearchBudgetExceeded):
@@ -318,6 +324,69 @@ def test_matching_and_domination_ranges(g: Graph):
     nu = matching_number(g)
     assert 1 <= nu <= g.vertex_count // 2
     assert 2 <= paired_domination_number(g) <= g.vertex_count
+
+
+@st.composite
+def any_graphs(draw) -> Graph:
+    """A graph on at most 9 vertices without isolated ones: one to three
+    random parts, each bipartite or not, left apart or each joined to the
+    previous one by an edge, under a random labelling."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    joined = draw(st.booleans())
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if n > 7:
+            break
+        if joined and n:
+            edges.append((n, n + 1))
+        size = draw(st.integers(min_value=2, max_value=min(5, 9 - n)))
+        bipartite = draw(st.booleans())
+        density = draw(st.sampled_from([0.3, 0.6, 1.0]))
+        split = rng.randint(1, size - 1)
+        pairs = [
+            (n + u, n + v)
+            for u in range(1, size + 1)
+            for v in range(u + 1, size + 1)
+            if not bipartite or u <= split < v
+        ]
+        edges += [e for e in pairs if rng.random() < density] or [pairs[0]]
+        n += size
+    touched = sorted({x for e in edges for x in e})
+    shuffled = list(range(1, len(touched) + 1))
+    rng.shuffle(shuffled)
+    label = dict(zip(touched, shuffled))
+    return Graph.from_edges([(label[u], label[v]) for u, v in edges])
+
+
+@given(any_graphs())
+@example(path_graph(5))
+@example(cycle_graph(5))
+@example(Graph.from_edges([(1, 4), (2, 3), (3, 5)]))
+@example(Graph.from_edges([(1, 5), (2, 3), (2, 4), (3, 4)]))
+@settings(max_examples=100, deadline=None)
+def test_mask_searches_match_the_edge_list_oracles(g: Graph):
+    n = g.vertex_count
+    # Labels outside 1..n, 0 and negatives included, are on no edge.
+    for u in range(-1, n + 2):
+        for v in range(-1, n + 2):
+            assert g.has_edge(u, v) == adjacent_by_edges(g, u, v), (u, v)
+    components = components_by_edges(g)
+    assert connected_components(g) == components
+    sides = bipartition(g)
+    assert (sides is not None) == is_bipartite_by_edges(g)
+    if sides is not None:
+        a, b = sides
+        assert a | b == set(g.vertices) and not a & b
+        for side in (a, b):
+            assert not any(adjacent_by_edges(g, u, v) for u in side for v in side)
+        # The documented rule: every component's lowest vertex starts on
+        # one side, the smaller side is A, and on a tie A holds vertex 1.
+        lowest = {min(c) for c in components}
+        assert lowest <= a or lowest <= b
+        assert len(a) < len(b) or (len(a) == len(b) and 1 in a)
+    assert right_edges(g) == right_edges_by_edges(g)
+    assert set(independence_complex(g).facets) == maximal_independent_sets_by_edges(g)
 
 
 @st.composite

@@ -633,7 +633,7 @@ def test_shellability_budget():
         [{i, i + 1} for i in range(1, 15)]
     )
     with pytest.raises(SearchBudgetExceeded):
-        is_shellable(many, SearchBudget(max_facets=12))
+        is_shellable(many, SearchBudget())
 
 
 # --- the Cohen-Macaulay report ------------------------------------------------------
@@ -708,7 +708,7 @@ def test_reports_reuse_the_held_poset(monkeypatch):
 def test_build_poset_memo_hit_checks_the_budget():
     g = path_graph(6)
     p = build_poset(g)
-    tiny = SearchBudget(max_vertices=3, max_edges=9)
+    tiny = SearchBudget(3)
     with pytest.raises(SearchBudgetExceeded) as hit:
         build_poset(g, tiny)
     with pytest.raises(SearchBudgetExceeded) as miss:

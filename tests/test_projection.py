@@ -30,7 +30,12 @@ from basiccovers.projection import (
     zero_one_graph,
 )
 
-from conftest import fixture_items, random_bipartite_graph, whiskered
+from conftest import (
+    adjacent_by_edges,
+    fixture_items,
+    random_bipartite_graph,
+    whiskered,
+)
 
 K2 = Graph.from_edges([(1, 2)])
 
@@ -46,6 +51,17 @@ def test_right_edge_examples(fixtures):
     assert right_edges(fixtures["E7"]) == ((1, 4), (2, 5), (3, 6))
     with pytest.raises(NotAnEdge):
         is_right_edge(p6, (1, 3))
+
+
+@pytest.mark.parametrize(
+    "e", [(0, 99), (99, 0), (-1, 2), (2, -1), (0, 1), (6, 7), (1.5, 2), (2, 2.5)]
+)
+def test_a_pair_off_the_vertex_labels_is_not_an_edge(e):
+    # Labels outside 1..n, 0, negatives and non-integers included, are on
+    # no edge: NotAnEdge, never an IndexError, a TypeError or a negative
+    # shift.
+    with pytest.raises(NotAnEdge):
+        is_right_edge(path_graph(6), e)
 
 
 def test_wsc(fixtures):
@@ -202,7 +218,7 @@ def unique_pm_labeling(g: Graph) -> UniquePmLabeling:
         violation = None
         for j in range(len(pairs)):
             if any(
-                g.has_edge(pairs[i][1], pairs[j][1]) for i in range(j)
+                adjacent_by_edges(g, pairs[i][1], pairs[j][1]) for i in range(j)
             ):
                 violation = j
                 break
@@ -214,13 +230,13 @@ def unique_pm_labeling(g: Graph) -> UniquePmLabeling:
         raise OrderViolation("could not make the v-side independent")
 
     vs = [v for _, v in pairs]
-    if any(g.has_edge(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))):
+    if any(adjacent_by_edges(g, vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))):
         raise OrderViolation("v-side failed to become independent")  # pragma: no cover
 
     relation: set[tuple[int, int]] = set()
     for i, (ui, vi) in enumerate(pairs):
         for j, (uj, vj) in enumerate(pairs):
-            if i != j and g.has_edge(ui, vj):
+            if i != j and adjacent_by_edges(g, ui, vj):
                 relation.add((vi, vj))
     for vi, vj in relation:
         if (vj, vi) in relation:
@@ -260,7 +276,7 @@ def test_unique_pm_p4():
     labelling = unique_pm_labeling(path_graph(4))
     assert len(labelling.pairs) == 2
     vs = [v for _, v in labelling.pairs]
-    assert not path_graph(4).has_edge(vs[0], vs[1])
+    assert not adjacent_by_edges(path_graph(4), vs[0], vs[1])
     # the two pairs are comparable in the induced order
     assert len(labelling.precedes) == 1
 
