@@ -137,8 +137,20 @@ def analyze(
     )
     checks = report.cross_checks
 
-    # covers section
-    hf = _attempt(lambda: [covers.hilbert_function(g, k, budget) for k in range(max_k + 1)])
+    # covers section.  The dimension estimate counts H(step * h) for
+    # h = 0..nu + 2; the section reads the levels it shares with those and
+    # counts only the others, so no level is counted twice.
+    counted = {}
+    if connected:
+        estimate = _attempt(lambda: covers.krull_dimension_estimate(g, budget))
+        if not isinstance(estimate, SearchBudgetExceeded):
+            counted = {estimate.step * h: c for h, c in enumerate(estimate.counts)}
+    hf = _attempt(
+        lambda: [
+            counted[k] if k in counted else covers.hilbert_function(g, k, budget)
+            for k in range(max_k + 1)
+        ]
+    )
     try:
         report.sections["covers"] = {
             "basic_cover_counts": [f"k={k}: {v}" for k, v in enumerate(_read(hf))],
@@ -251,12 +263,12 @@ def analyze(
 
     if connected:
         def dim_check():
-            estimate = covers.krull_dimension_estimate(g, budget)
+            fitted = _read(estimate)
             value = _read(result).gdim
-            if not estimate.stable:
+            if not fitted.stable:
                 detail = "counts fit no polynomial of degree <= the matching number"
                 return ("unstable", value, detail)
-            return (estimate.dimension, value, "")
+            return (fitted.dimension, value, "")
 
         _row(checks, "dimension-estimate-vs-search", dim_check)
     else:

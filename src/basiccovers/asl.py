@@ -12,14 +12,15 @@ Both checks run on the poset's element masks (:attr:`CoverPoset.masks`,
 bit v set when vertex v has value 1).  The crossed covers of a pair are
 two bit operations and their basicness a test on neighbour masks; a
 multichain sum is basic exactly when its support lies inside the
-endpoints of the edges tight in every summand.
+endpoints of the edges tight in every summand.  A multichain's value sum
+is carried as one packed int, each vertex's value in a field of its own,
+so extending a multichain by one element is one integer addition.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import add
 
 from .budget import SearchBudget
 from .covers import Cover, count_basic_covers
@@ -31,7 +32,7 @@ from .errors import (
     NotAMultichain,
     SumNotBasic,
 )
-from .graph import Graph
+from .graph import Graph, _bits, _is_int
 from .poset import (
     CoverPoset,
     build_poset,
@@ -164,7 +165,11 @@ def verify_asl1(
     """Is the multichain-to-cover map a bijection onto the basic d-covers?
 
     The multichains grow one element at a time along the up-lists, each
-    carrying its value sum; every d-element sum must be a basic d-cover
+    carrying its value sum packed into one int: vertex v's value sits in
+    bits [w*v, w*(v + 1)) with w = d.bit_length().  Each summand puts 0 or
+    1 on a vertex, so a field holds at most d < 2**w and the additions
+    never carry; two sums are equal as ints exactly when they are equal
+    vertex by vertex.  Every d-element sum must be a basic d-cover
     (a non-basic sum contradicts the correspondence and raises
     :class:`SumNotBasic` as a bug), and distinct multichains must have
     distinct sums.  The sums are then a set of basic d-covers, so they are
@@ -183,6 +188,8 @@ def verify_asl1(
     inside the endpoints of the AND mask.  The endpoints are computed once
     per mask.
     """
+    if not _is_int(d):
+        raise NotAMultichain(f"degree must be an integer, got {d!r}")
     if d < 1:
         raise NotAMultichain("degree must be >= 1")
     g = poset.graph
@@ -191,7 +198,7 @@ def verify_asl1(
         if not _is_basic_one_cover(nbr, m):
             raise SumNotBasic("a multichain summed to a non-basic cover")
     ends: dict[int, int] = {}
-    images: set[tuple[int, ...]] = set()
+    images: set[int] = set()
     count = 0
     for total, tight, support in _multichain_sums(poset, d):
         covered = ends.get(tight)
@@ -204,13 +211,13 @@ def verify_asl1(
     return len(images) == count == count_basic_covers(g, d, budget)
 
 
-def _multichain_sums(
-    poset: CoverPoset, d: int
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(value sum, AND of tight-edge masks, OR of element masks) of every
-    d-element multichain; the OR is the support of the sum."""
+def _multichain_sums(poset: CoverPoset, d: int) -> Iterator[tuple[int, int, int]]:
+    """(packed value sum, AND of tight-edge masks, OR of element masks) of
+    every d-element multichain; the OR is the support of the sum.  The
+    packing is the one :func:`verify_asl1` describes."""
     g, ups, support = poset.graph, poset.up_lists, poset.masks
-    values = [c.values for c in poset.elements]
+    width = d.bit_length()
+    values = [sum(1 << width * v for v in _bits(m)) for m in support]
     tight = [_tight_edges(g, m) for m in support]
     # (last element, value sum, tight AND, support OR) of every multichain,
     # one element longer per level.  The levels are chained generators, so
@@ -218,7 +225,7 @@ def _multichain_sums(
     chains = zip(range(len(values)), values, tight, support)
     for _ in range(d - 1):
         chains = (
-            (j, tuple(map(add, total, values[j])), t & tight[j], s | support[j])
+            (j, total + values[j], t & tight[j], s | support[j])
             for i, total, t, s in chains
             for j in ups[i]
         )
@@ -235,10 +242,13 @@ def _tight_edges(g: Graph, ones: int) -> int:
 
 def _tight_ends(g: Graph, tight: int) -> int:
     """The vertex mask of the endpoints of the edges in ``tight``."""
+    edges = g.edges
     ends = 0
-    for e, (u, v) in enumerate(g.edges):
-        if tight >> e & 1:
-            ends |= 1 << u | 1 << v
+    while tight:
+        low = tight & -tight
+        u, v = edges[low.bit_length() - 1]
+        ends |= 1 << u | 1 << v
+        tight ^= low
     return ends
 
 

@@ -37,7 +37,7 @@ class SimplicialComplex:
         dropped, repeats merged, and the rest sorted deterministically.
 
         That scan already guarantees what the constructor checks, so the
-        result is built without repeating it.
+        result is built by :meth:`_from_maximal` without repeating it.
         """
         sets = {frozenset(f) for f in facets}
         if not sets:
@@ -48,11 +48,18 @@ class SimplicialComplex:
         for _, group in groupby(sorted(sets, key=len, reverse=True), key=len):
             larger = tuple(maximal)
             maximal += [f for f in group if not any(f < h for h in larger)]
+        return cls._from_maximal(maximal)
+
+    @classmethod
+    def _from_maximal(cls, facets) -> "SimplicialComplex":
+        """The complex on ``facets``, distinct sets none of which contains
+        another, sorted as :meth:`from_facets` sorts them.  The caller
+        vouches for both conditions; nothing here checks them."""
         complex_ = object.__new__(cls)
         object.__setattr__(
             complex_,
             "facets",
-            tuple(sorted(maximal, key=lambda f: (len(f), sorted(map(str, f))))),
+            tuple(sorted(facets, key=lambda f: (len(f), sorted(map(str, f))))),
         )
         return complex_
 

@@ -97,6 +97,15 @@ def _is_basic_values(g: Graph, vals: tuple[int, ...], k: int) -> bool:
     return True
 
 
+def _check_level(k, least: int, name: str) -> None:
+    """Reject a level that is not an int (bools included) or is below
+    ``least``."""
+    if not _is_int(k):
+        raise MalformedInput(f"{name} must be an integer, got {k!r}")
+    if k < least:
+        raise MalformedInput(f"{name} must be >= {least}, got {k}")
+
+
 # --- exact enumeration -------------------------------------------------------
 
 
@@ -198,8 +207,7 @@ def enumerate_basic_covers(
     g: Graph, k: int, budget: SearchBudget | None = None
 ) -> list[Cover]:
     """Exactly the basic k-covers of g, sorted lexicographically."""
-    if k < 1:
-        raise MalformedInput(f"cover level must be >= 1, got {k}")
+    _check_level(k, 1, "cover level")
     budget = budget or default_budget()
     budget.check_graph(g.vertex_count, g.edge_count, "enumerate_basic_covers")
     return [Cover(vals, k) for vals in sorted(_basic_cover_search(g, k))]
@@ -208,7 +216,21 @@ def enumerate_basic_covers(
 # --- counting by the transfer-matrix method -----------------------------------
 
 
-def _frontier_steps(g: Graph):
+# Key of the frontier plan in a graph's instance dict.  The plan is a
+# tuple of tuples of ints and holds no reference to the graph; pickling a
+# graph keeps only its fields, so a copy carries no plan.
+_FRONTIER_MEMO = "_frontier_steps"
+
+
+def _frontier_steps(g: Graph) -> tuple:
+    """:func:`_frontier_plan` of g, built once per graph instance."""
+    steps = g.__dict__.get(_FRONTIER_MEMO)
+    if steps is None:
+        steps = g.__dict__[_FRONTIER_MEMO] = _frontier_plan(g)
+    return steps
+
+
+def _frontier_plan(g: Graph) -> tuple:
     """Vertex order and one transition table per vertex for the counting DP.
 
     The frontier is the list of placed vertices that still have an unplaced
@@ -243,8 +265,8 @@ def _frontier_steps(g: Graph):
         leave = [i for i, u in enumerate(frontier) if not nbr[u] & unplaced]
         stays = bool(nbr[v] & unplaced)
         frontier = [frontier[i] for i in keep] + ([v] if stays else [])
-        steps.append((nbr_pos, keep, leave, stays))
-    return steps
+        steps.append((tuple(nbr_pos), tuple(keep), tuple(leave), stays))
+    return tuple(steps)
 
 
 def _count_by_frontier(g: Graph, k: int) -> int:
@@ -294,8 +316,7 @@ def _count_by_frontier(g: Graph, k: int) -> int:
 
 def count_basic_covers(g: Graph, k: int, budget: SearchBudget | None = None) -> int:
     """Number of basic k-covers, counted without listing them."""
-    if k < 1:
-        raise MalformedInput(f"cover level must be >= 1, got {k}")
+    _check_level(k, 1, "cover level")
     budget = budget or default_budget()
     budget.check_graph(g.vertex_count, g.edge_count, "count_basic_covers")
     return _count_by_frontier(g, k)
@@ -303,8 +324,7 @@ def count_basic_covers(g: Graph, k: int, budget: SearchBudget | None = None) -> 
 
 def hilbert_function(g: Graph, k: int, budget: SearchBudget | None = None) -> int:
     """Number of basic k-covers; 1 at k = 0 for the unit of the graded algebra."""
-    if k < 0:
-        raise MalformedInput(f"level must be >= 0, got {k}")
+    _check_level(k, 0, "level")
     if k == 0:
         return 1
     return count_basic_covers(g, k, budget)
@@ -320,8 +340,7 @@ def reconstruct_from_low_half(g: Graph, k: int, partial: dict[int, int]) -> Cove
     vertex w to ``max(k - value(v))`` over its assigned neighbours v; the
     completion is checked to be a basic k-cover.
     """
-    if k < 1:
-        raise MalformedInput(f"cover level must be >= 1, got {k}")
+    _check_level(k, 1, "cover level")
     domain = set(partial)
     if not domain or not all(_is_int(v) for v in domain) or not domain <= set(g.vertices):
         raise MalformedInput("partial assignment must live on vertices of g")

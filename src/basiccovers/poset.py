@@ -33,7 +33,7 @@ from .errors import (
     NotALattice,
     NotDistributive,
 )
-from .graph import Graph, require_bipartite
+from .graph import Graph, _bits, _is_int, require_bipartite
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,11 @@ class CoverPoset:
         )
 
     @cached_property
+    def down_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Indices of the elements at or below each element, ascending."""
+        return tuple(tuple(_bits(down)) for down in self.down_sets)
+
+    @cached_property
     def _by_down_set(self) -> dict[int, int]:
         return {d: i for i, d in enumerate(self.down_sets)}
 
@@ -151,13 +156,24 @@ class CoverPoset:
         self,
     ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
         """Meet and join index tables, or None when some pair lacks an
-        infimum or a supremum.  Built from the order alone."""
-        n = range(len(self.masks))
-        meet = tuple(tuple(self.meet_index(i, j) for j in n) for i in n)
-        join = tuple(tuple(self.join_index(i, j) for j in n) for i in n)
-        if any(None in row for row in meet + join):
-            return None
-        return meet, join
+        infimum or a supremum.  Built from the order alone.
+
+        Both tables are symmetric, so each pair i <= j is looked up once
+        and mirrored.
+        """
+        n = len(self.masks)
+        meet_index, join_index = self.meet_index, self.join_index
+        meet = [[0] * n for _ in range(n)]
+        join = [[0] * n for _ in range(n)]
+        for i in range(n):
+            meet_i, join_i = meet[i], join[i]
+            for j in range(i, n):
+                m, t = meet_index(i, j), join_index(i, j)
+                if m is None or t is None:
+                    return None
+                meet_i[j] = meet[j][i] = m
+                join_i[j] = join[j][i] = t
+        return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
     @cached_property
     def cover_relations(self) -> tuple[tuple[int, int], ...]:
@@ -210,8 +226,13 @@ class CoverPoset:
 
     @cached_property
     def _order_complex(self) -> SimplicialComplex:
+        # The poset is bounded, so every maximal chain is a Hasse path from
+        # the bottom to the top.  Distinct such paths are distinct sets and
+        # none contains another (an extra element would lie strictly
+        # between two consecutive ones), so the chains are already the
+        # facets and need no containment scan.
         labels = self.labels
-        return SimplicialComplex.from_facets(
+        return SimplicialComplex._from_maximal(
             frozenset(labels[i] for i in chain) for chain in self._index_chains()
         )
 
@@ -435,14 +456,13 @@ def order_complex(poset: CoverPoset) -> SimplicialComplex:
 def count_multichains(poset: CoverPoset, d: int) -> int:
     """Number of weakly increasing d-element sequences, by dynamic programming:
     the sequences ending at j extend those ending at any element below j."""
+    if not _is_int(d):
+        raise MalformedInput(f"multichain length must be an integer, got {d!r}")
     if d < 0:
         raise MalformedInput("multichain length must be >= 0")
     if d == 0:
         return 1
-    below = [
-        [i for i in range(down.bit_length()) if down >> i & 1]
-        for down in poset.down_sets
-    ]
+    below = poset.down_lists
     counts = [1] * len(below)
     for _ in range(d - 1):
         counts = [sum(map(counts.__getitem__, lows)) for lows in below]

@@ -80,15 +80,16 @@ def test_analyze_computes_each_input_once(monkeypatch):
             "gdim_bounds": 1,
             # one per level 1..3; build_poset runs no cover search
             "enumerate_basic_covers": 3,
-            # k = 0..3 on g, k = 1..3 on the projection, k = 1..5 inside
-            # krull_dimension_estimate (E7 is bipartite with nu = 3)
-            "hilbert_function": 12,
+            # k = 1..5 on g inside krull_dimension_estimate (E7 is bipartite
+            # with nu = 3), which the covers section reads for k = 0..3, and
+            # k = 1..3 on the projection
+            "hilbert_function": 8,
             "is_domain_report": 1,
         }
     )
-    # Only k = 1..3 on g repeat: the dimension estimate keeps its own counts.
+    # No level of any graph is counted twice.
     repeats = [key for key, n in keys.items() if key[0] == "hilbert_function" and n > 1]
-    assert repeats == [("hilbert_function", id(g), k) for k in (1, 2, 3)]
+    assert repeats == []
 
 
 def test_analyze_runs_the_cm_equivalence_report_once(monkeypatch):

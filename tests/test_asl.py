@@ -196,6 +196,13 @@ def test_asl1_random_bipartite():
             assert verify_asl1(p, d)
 
 
+@pytest.mark.parametrize("d", [2.0, "2", True, None])
+def test_asl1_rejects_a_degree_that_is_not_an_int(d):
+    # The packed sums read d.bit_length(); True would pass as degree 1.
+    with pytest.raises(NotAMultichain):
+        verify_asl1(build_poset(K2), d)
+
+
 def test_asl1_fails_when_the_cover_count_is_off(monkeypatch, fixtures):
     # The frontier count is the independent side of verify_asl1: one cover
     # too few or too many, and the multichain sums no longer match it.
@@ -333,6 +340,20 @@ def _sum_masks(g, members):
     return tight, support
 
 
+def _unpack(total, d, n):
+    """The value tuple of vertices 1..n held in the packed sum ``total`` of
+    d elements: vertex v's value is the field of d.bit_length() bits that
+    starts at bit v * d.bit_length()."""
+    width = d.bit_length()
+    return tuple(total >> width * v & (1 << width) - 1 for v in range(1, n + 1))
+
+
+def _unpacked_sums(p, d):
+    """:func:`_multichain_sums` with each packed total decoded."""
+    n = p.graph.vertex_count
+    return [(_unpack(total, d, n), t, s) for total, t, s in _multichain_sums(p, d)]
+
+
 def _mask_verdict(g, members):
     """The mask test of verify_asl1 on the sum of ``members``."""
     tight, support = _sum_masks(g, members)
@@ -351,9 +372,9 @@ def test_mask_sum_test_matches_scalar_basicness(g):
             total = tuple(map(sum, zip(*members)))
             assert _mask_verdict(g, members) == basic_verdict_by_edges(g, total, d)
             expected.append((total, *_sum_masks(g, members)))
-        assert sorted(_multichain_sums(p, d)) == sorted(expected)
+        assert sorted(_unpacked_sums(p, d)) == sorted(expected)
         # The DFS oracle: the sums are exactly the basic d-covers.
-        assert {total for total, _, _ in _multichain_sums(p, d)} == {
+        assert {total for total, _, _ in _unpacked_sums(p, d)} == {
             c.values for c in enumerate_basic_covers(g, d)
         }
     # Sums of incomparable pairs need not be basic: both verdicts occur.
@@ -361,6 +382,22 @@ def test_mask_sum_test_matches_scalar_basicness(g):
         for y in values[i:]:
             total = tuple(map(sum, zip(x, y)))
             assert _mask_verdict(g, (x, y)) == basic_verdict_by_edges(g, total, 2)
+
+
+def test_packed_sums_decode_to_the_tuple_sums():
+    # d = 1, 3 and 7 fill their fields of 1, 2 and 3 bits (the constant
+    # multichain on the top element reaches d), and d = 2, 4 and 8 start a
+    # wider one.  The tuple sums are built from the poset's elements and
+    # its order alone.
+    for name, g, p in bipartite_fixture_posets():
+        values = [c.values for c in p.elements]
+        for d in range(1, 9):
+            tuple_sums = sorted(
+                tuple(map(sum, zip(*(values[i] for i in chain))))
+                for chain in _scalar_multichains(p, d)
+            )
+            decoded = sorted(total for total, _, _ in _unpacked_sums(p, d))
+            assert decoded == tuple_sums, (name, d)
 
 
 @given(small_bipartite_graphs())

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import product
 
@@ -243,6 +244,39 @@ def test_count_rejects_bad_level():
             count_basic_covers(K2, k)
     with pytest.raises(MalformedInput):
         hilbert_function(K2, -1)
+
+
+@pytest.mark.parametrize("k", [2.0, "2", True, None])
+def test_levels_that_are_not_ints_are_malformed(k):
+    # True equals 1 and 2.0 equals 2, so a range test alone lets both
+    # through, and enumeration would list covers at level=True.
+    for level_of in (count_basic_covers, enumerate_basic_covers, hilbert_function):
+        with pytest.raises(MalformedInput):
+            level_of(K2, k)
+    with pytest.raises(MalformedInput):
+        reconstruct_from_low_half(K2, k, {1: 0})
+
+
+def test_counting_one_graph_twice_builds_one_frontier_plan(monkeypatch):
+    built = []
+    original = covers._frontier_plan
+    monkeypatch.setattr(
+        covers, "_frontier_plan", lambda g: built.append(g) or original(g)
+    )
+    g = path_graph(8)
+    assert [count_basic_covers(g, k) for k in (2, 3)] == [
+        len(enumerate_basic_covers(g, k)) for k in (2, 3)
+    ]
+    assert len(built) == 1 and built[0] is g
+    steps = covers._frontier_steps(g)
+    assert isinstance(steps, tuple)
+    assert all(isinstance(part, tuple) for step in steps for part in step[:3])
+    # A pickled copy carries no plan; counting it builds its own.
+    copy = pickle.loads(pickle.dumps(g))
+    assert "_frontier_steps" in g.__dict__
+    assert "_frontier_steps" not in copy.__dict__
+    assert count_basic_covers(copy, 3) == count_basic_covers(g, 3)
+    assert len(built) == 2 and built[1] is copy
 
 
 def test_basicness_vs_descent_search():

@@ -149,6 +149,11 @@ def _assert_matches_oracle(p):
             assert supremum(p, x, y) == sup[(x, y)]
     assert is_lattice(p) == lattice
     if lattice:
+        meet, join = p.lattice_tables
+        for i, x in enumerate(p.elements):
+            for j, y in enumerate(p.elements):
+                assert p.elements[meet[i][j]] == inf[(x, y)]
+                assert p.elements[join[i][j]] == sup[(x, y)]
         assert is_distributive(p) == distributive
     else:
         with pytest.raises(NotALattice):
@@ -294,6 +299,30 @@ def test_rank_and_purity_match_maximal_chains():
         lengths = {len(chain) - 1 for chain in chains}
         assert rank(p) == max(lengths), g.edges
         assert is_pure(p) == (len(lengths) == 1), g.edges
+
+
+@given(bipartite_graphs())
+@settings(max_examples=100, deadline=None)
+def test_chain_complex_and_lattice_tables_match_their_pairwise_oracles(g):
+    # The order complex skips from_facets's containment scan, and the
+    # lattice tables look up one triangle and mirror it; the scan and the
+    # lookup of every ordered pair are the oracles.
+    p = build_poset(g)
+    scanned = SimplicialComplex.from_facets(
+        frozenset(p.label_of(c) for c in chain) for chain in maximal_chains(p)
+    )
+    assert order_complex(p).facets == scanned.facets
+    n = range(len(p))
+    meet = tuple(tuple(p.meet_index(i, j) for j in n) for i in n)
+    join = tuple(tuple(p.join_index(i, j) for j in n) for i in n)
+    assert p.lattice_tables == (meet, join)
+
+
+def test_multichains_reject_a_length_that_is_not_an_int():
+    p = build_poset(K2)
+    for d in (2.0, "2", True, None):
+        with pytest.raises(MalformedInput):
+            count_multichains(p, d)
 
 
 def test_order_duality():
